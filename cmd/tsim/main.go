@@ -22,8 +22,8 @@
 // commit-boundary checkpoints plus a bounded trace window, dumped as a
 // self-describing bundle on panic, cycle-limit overrun or the -dump-on
 // trigger (rollback, end, block=N, cycle=N) for trips-debug to replay. All
-// of these disable the critical-path analyzer (its event graph cannot be
-// serialized). -lag-deadline-pad / -lag-horizon-override inject bounded-lag
+// of these disable the critical-path analyzer (its events are not part of
+// the checkpoint format). -lag-deadline-pad / -lag-horizon-override inject bounded-lag
 // timing faults to exercise the recorder's violation paths.
 package main
 
@@ -167,9 +167,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The critical-path analyzer builds an event graph that cannot be
-	// serialized, so checkpoint, restore, sampling and the flight recorder
-	// all run without it.
+	// Critical-path events are not part of the checkpoint format, so
+	// checkpoint, restore, sampling and the flight recorder all run without
+	// the analyzer.
 	crit := *ckptOut == "" && *restore == "" && *sampleInt == 0 && !*flightOn
 	opt := eval.TRIPSOptions{TrackCritPath: crit, OPNChannels: *opn, ConservativeLoads: *conserv, UseNUCA: *useNUCA, NoFastPath: *noFast, NoWarp: *noWarp, NoEventDriven: *noEvent, SeqStep: *seqStep, ParStride: *parStride, MaxCycles: *maxCycles, LagHorizonOverride: *lagHorizon, LagDeadlinePad: *lagPad}
 	var tracer *obs.Tracer

@@ -147,15 +147,6 @@ func (b *Bank) Fill(addr uint64, data []byte) Victim {
 	return out
 }
 
-// InvalidateAll clears the bank (used when reconfiguring the NUCA array).
-func (b *Bank) InvalidateAll() {
-	for i := range b.sets {
-		for j := range b.sets[i] {
-			b.sets[i][j] = line{}
-		}
-	}
-}
-
 // DirtyLines returns the addresses and contents of all dirty lines; used to
 // flush write-back state at simulation end so memory holds final results.
 func (b *Bank) DirtyLines() []Victim {

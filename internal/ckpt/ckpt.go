@@ -35,7 +35,7 @@ import (
 
 // Version is the current checkpoint format version. Bump it whenever the
 // payload layout changes; old files then fail with ErrVersion.
-const Version = 1
+const Version = 2
 
 var magic = [8]byte{'T', 'R', 'I', 'P', 'S', 'C', 'K', 'P'}
 

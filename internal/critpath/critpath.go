@@ -13,10 +13,14 @@
 // edge. Because event times in a cycle-accurate simulator are exactly
 // "max over parents + edge latency", the chain of last-arriving parents IS
 // the critical path, so each event can carry cumulative per-category totals
-// and the analysis needs O(1) memory per live event.
+// and the analysis needs O(1) memory per live event — a fixed-size value,
+// with no graph kept behind it.
 package critpath
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Cat is a critical-path cycle category (the columns of paper Table 3).
 type Cat int
@@ -67,55 +71,99 @@ func (c Cat) String() string {
 // Split is a categorized decomposition of one dependency edge's latency.
 type Split [NumCats]int64
 
-// Event is a node on the dependence graph, carrying cumulative
+// Event is a node on the dependence graph: its cycle and the cumulative
 // per-category totals along its critical (last-arrival) chain.
+//
+// An Event is a pointer-free 40-byte value, so tiles, messages and wheel
+// entries hold it directly and creating one never allocates. The zero
+// Event means "no event" (Valid reports false); as a parent it stands for
+// the time-zero root. The per-category totals are 32-bit: along a chain
+// from the root they sum to Cycle, so none can wrap while Cycle stays
+// within MaxCycle. An event past MaxCycle is marked overflowed, the mark
+// passes to every descendant, and Finish reports it as an *OverflowError.
 type Event struct {
 	Cycle int64
-	Cum   Split
+	cum   [NumCats]uint32
+	flags uint32
 }
 
-// Root returns the time-zero event.
-func Root() *Event { return &Event{} }
+const (
+	flagValid uint32 = 1 << iota
+	flagOverflow
+)
 
-// New creates an event at the given cycle whose last-arriving dependency is
-// parent. split apportions the edge latency (cycle - parent.Cycle) among
-// categories; any unapportioned remainder is charged to rem. Negative or
-// over-apportioned splits are clamped so totals always equal elapsed time.
-func New(cycle int64, parent *Event, split Split, rem Cat) *Event {
-	if parent == nil {
-		parent = Root()
+// MaxCycle is the last cycle whose critical-path split an Event records
+// exactly.
+const MaxCycle = math.MaxUint32
+
+// OverflowError reports a critical path that ran past MaxCycle cycles, where
+// the per-category totals can no longer be kept exactly.
+type OverflowError struct {
+	Cycle int64 // the terminal event's cycle
+}
+
+func (e *OverflowError) Error() string {
+	return fmt.Sprintf("critpath: critical path reaches cycle %d, past the %d cycles its per-category totals can hold", e.Cycle, int64(MaxCycle))
+}
+
+// Valid reports whether e is an event rather than the zero "no event".
+func (e Event) Valid() bool { return e.flags&flagValid != 0 }
+
+// Cum returns e's cumulative per-category totals.
+func (e Event) Cum() Split {
+	var s Split
+	for c := range s {
+		s[c] = int64(e.cum[c])
 	}
+	return s
+}
+
+// At returns the event at the given cycle whose last-arriving dependency is
+// parent (the zero Event stands for the time-zero root). split apportions
+// the edge latency (cycle - parent.Cycle) among categories; any
+// unapportioned remainder is charged to rem. Negative or over-apportioned
+// splits are clamped so totals always equal elapsed time.
+func At(cycle int64, parent Event, split Split, rem Cat) Event {
 	if cycle < parent.Cycle {
 		cycle = parent.Cycle
 	}
-	edge := cycle - parent.Cycle
-	e := &Event{Cycle: cycle, Cum: parent.Cum}
-	left := edge
-	for c := Cat(0); c < NumCats; c++ {
-		take := split[c]
-		if take < 0 {
-			take = 0
-		}
-		if take > left {
-			take = left
-		}
-		e.Cum[c] += take
-		left -= take
+	e := parent
+	e.Cycle = cycle
+	e.flags |= flagValid
+	if cycle > MaxCycle {
+		e.flags |= flagOverflow
+		return e
 	}
-	e.Cum[rem] += left
+	left := cycle - parent.Cycle
+	for c := range split {
+		if take := min(split[c], left); take > 0 {
+			e.cum[c] += uint32(take)
+			left -= take
+		}
+	}
+	e.cum[rem] += uint32(left)
 	return e
 }
 
-// Latest returns the later of two events (nil-safe), used to find the
-// last-arriving dependency.
-func Latest(a, b *Event) *Event {
-	if a == nil {
-		return b
+// Root returns the time-zero event.
+func Root() *Event { return &Event{flags: flagValid} }
+
+// New is At for callers holding events by reference: a nil parent is the
+// root, and the result is a fresh heap event.
+func New(cycle int64, parent *Event, split Split, rem Cat) *Event {
+	var p Event
+	if parent != nil {
+		p = *parent
 	}
-	if b == nil {
-		return a
-	}
-	if b.Cycle > a.Cycle {
+	e := At(cycle, p, split, rem)
+	return &e
+}
+
+// Latest returns the later of two events, preferring a on a tie and
+// ignoring a zero "no event" operand; it finds the last-arriving
+// dependency.
+func Latest(a, b Event) Event {
+	if !a.Valid() || (b.Valid() && b.Cycle > a.Cycle) {
 		return b
 	}
 	return a
@@ -127,9 +175,13 @@ type Report struct {
 	Cycles      Split
 }
 
-// Finish produces the report for a terminal event.
-func Finish(e *Event) Report {
-	return Report{TotalCycles: e.Cycle, Cycles: e.Cum}
+// Finish produces the report for a terminal event, or an *OverflowError
+// when its chain ran past MaxCycle.
+func Finish(e Event) (Report, error) {
+	if e.flags&flagOverflow != 0 {
+		return Report{}, &OverflowError{Cycle: e.Cycle}
+	}
+	return Report{TotalCycles: e.Cycle, Cycles: e.Cum()}, nil
 }
 
 // Percent returns category c's share of the critical path in percent.

@@ -222,7 +222,7 @@ func RunSampled(spec *workloads.Spec, opt TRIPSOptions, warmup, interval int64, 
 		return nil, fmt.Errorf("eval: sampled %s: warmup must be non-negative, got %d", spec.F.Name, warmup)
 	}
 	if opt.TrackCritPath {
-		return nil, fmt.Errorf("eval: sampled %s: incompatible with critical-path tracking (the event graph cannot be serialized)", spec.F.Name)
+		return nil, fmt.Errorf("eval: sampled %s: incompatible with critical-path tracking (critical-path events are not checkpointed)", spec.F.Name)
 	}
 	if opt.CheckpointTo != nil || opt.RestoreFrom != nil {
 		return nil, fmt.Errorf("eval: sampled %s: cannot combine with explicit checkpoint/restore", spec.F.Name)

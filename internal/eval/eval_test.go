@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 
 	"trips/internal/tcc"
@@ -10,17 +12,38 @@ import (
 // TestPaperShapes locks in the qualitative results of paper Table 3 and
 // Sections 5.4/7: who wins, in which direction, and which overheads
 // dominate. Absolute numbers differ from the paper (our substrate is a
-// reimplementation, see EXPERIMENTS.md); these shapes must not.
+// reimplementation, see EXPERIMENTS.md); these shapes must not. It also
+// pins every row bit for bit to the checked-in BENCH_table3.json — the
+// seven critical-path percentages, the three cycle counts and the IPCs —
+// so a host-side change that moves any simulated number fails here.
 func TestPaperShapes(t *testing.T) {
+	rep, err := Table3All(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile("../../BENCH_table3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned Table3Report
+	if err := json.Unmarshal(data, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != len(pinned.Rows) {
+		t.Fatalf("Table 3 has %d rows, BENCH_table3.json %d", len(rep.Rows), len(pinned.Rows))
+	}
+	rows := make(map[string]Table3Row, len(rep.Rows))
+	for i, r := range rep.Rows {
+		if r != pinned.Rows[i] {
+			t.Errorf("Table 3 row %d differs from BENCH_table3.json:\n got  %+v\n want %+v", i, r, pinned.Rows[i])
+		}
+		rows[r.Name] = r
+	}
 	row := func(name string) Table3Row {
 		t.Helper()
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Table3(w)
-		if err != nil {
-			t.Fatal(err)
+		r, ok := rows[name]
+		if !ok {
+			t.Fatalf("Table 3 has no %s row", name)
 		}
 		return r
 	}

@@ -676,25 +676,14 @@ func (m *Mesh[T]) RewindTicks(n int64) {
 	m.tickCount -= int(n)
 }
 
-// MinTransit returns a lower bound on the number of Ticks a message injected
-// at from needs before it can be delivered at to: the Manhattan distance (one
-// hop per cycle is the mesh's maximum speed) plus the delivery Tick. The bound
-// holds under arbitrary contention — arbitration losses, link stalls, and
-// buffer backpressure only delay a message, never accelerate it — which is
-// what makes it usable as a response-deadline term: it can be computed from
-// endpoint coordinates alone, before the message is even injected.
-func (m *Mesh[T]) MinTransit(from, to Coord) int64 {
-	return int64(from.Manhattan(to)) + 1
-}
-
 // VisitResidents calls fn once for every message currently resident in the
-// mesh, extending the solo-transit bound toward multi-message earliest-arrival
-// analysis: at reports a position the message must still traverse from, chosen
-// so that at.Manhattan(msg.Dest()) is a sound lower bound on the Ticks
-// remaining before the message can be delivered — its router for buffered
-// messages and delivered-awaiting-Pop messages, and the receiving router for
-// messages resident on a link (the link crossing itself is not counted, which
-// only weakens the bound). Unlike TransitBoundMulti this never fails on
+// mesh, for multi-message earliest-arrival analysis (one hop per cycle is
+// the mesh's maximum speed): at reports a position the message must still
+// traverse from, chosen so that at.Manhattan(msg.Dest()) is a sound lower
+// bound on the Ticks remaining before the message can be delivered — its
+// router for buffered messages and delivered-awaiting-Pop messages, and the
+// receiving router for messages resident on a link (the link crossing itself
+// is not counted, which only weakens the bound). Unlike TransitBoundMulti this never fails on
 // contended states: contention delays messages, so per-message Manhattan
 // remainders stay valid lower bounds no matter how arbitration resolves.
 func (m *Mesh[T]) VisitResidents(fn func(msg T, at Coord)) {
@@ -770,6 +759,3 @@ func (m *Mesh[T]) Occupancy() int { return m.bufOcc + m.linkBusy }
 
 // LinksBusy returns the number of links currently carrying a message.
 func (m *Mesh[T]) LinksBusy() int { return m.linkBusy }
-
-// NumLinks returns the number of physical links in the mesh.
-func (m *Mesh[T]) NumLinks() int { return len(m.edges) }

@@ -106,13 +106,20 @@ type Core struct {
 	dts [isa.NumDTs]*dtTile
 
 	opns  []*micronet.Mesh[*opnMsg]
-	gcn   *micronet.Broadcast[gcnMsg]
+	gcn   *micronet.Broadcast[gcnWave]
 	gsnRT *micronet.Chain[gsnMsg]
 	gsnDT *micronet.Chain[gsnMsg]
 	gsnIT *micronet.Chain[gsnMsg]
 	dsn   *micronet.BiChain[dsnMsg]
 
-	gcnQueue micronet.Queue[gcnMsg]
+	gcnQueue micronet.Queue[gcnWave]
+	// waves is the GCN wave ring: the payload of every command between
+	// issueGCN and its delivery at the farthest node, oldest at waveHead.
+	// Waves retire in issue order, since the queue and the network are
+	// both FIFO.
+	waves     [gcnRingSize]gcnMsg
+	waveHead  int
+	waveCount int
 
 	cycle int64
 	// wheel is the delta-cycle event wheel behind scheduleEv: slot
@@ -122,6 +129,8 @@ type Core struct {
 	// scheduling does not allocate.
 	wheel         [wheelSize][]schedEvent
 	schedOverflow map[int64][]schedEvent
+	// payload holds each frame's dispatch cargo for its wheel events.
+	payload [NumSlots]dispatchPayload
 
 	// msgFree pools operand-network messages: the OPN moves one message per
 	// dependent instruction pair, making opnMsg the hottest allocation in
@@ -129,7 +138,7 @@ type Core struct {
 	msgFree []*opnMsg
 
 	// Store-arrival critical-path events per frame (tracked at DT0's view).
-	storeEvs [NumSlots]*critpath.Event
+	storeEvs [NumSlots]critpath.Event
 	storeSeq [NumSlots]uint64
 
 	// Stats.
@@ -208,7 +217,7 @@ func NewCore(cfg Config) (*Core, error) {
 			c.opns[i].Attach(cfg.Trace, obs.NetOPN0+uint8(i))
 		}
 	}
-	c.gcn = micronet.NewBroadcast[gcnMsg]("gcn", 5, 5)
+	c.gcn = micronet.NewBroadcast[gcnWave]("gcn", 5, 5)
 	c.gsnRT = micronet.NewChain[gsnMsg]("gsn-rt", isa.NumRTs+1)
 	c.gsnDT = micronet.NewChain[gsnMsg]("gsn-dt", isa.NumDTs+1)
 	c.gsnIT = micronet.NewChain[gsnMsg]("gsn-it", isa.NumITs+1)
@@ -317,12 +326,13 @@ func (c *Core) activeThreads() int { return len(c.cfg.Entries) }
 // Cycle returns the current cycle number.
 func (c *Core) Cycle() int64 { return c.cycle }
 
-// newEvent allocates a critical-path event, or nil when tracking is off.
-func (c *Core) newEvent(cycle int64, parent *critpath.Event, split critpath.Split, rem critpath.Cat) *critpath.Event {
+// newEvent creates a critical-path event, or the zero "no event" when
+// tracking is off.
+func (c *Core) newEvent(cycle int64, parent critpath.Event, split critpath.Split, rem critpath.Cat) critpath.Event {
 	if !c.cfg.TrackCritPath {
-		return nil
+		return critpath.Event{}
 	}
-	return critpath.New(cycle, parent, split, rem)
+	return critpath.At(cycle, parent, split, rem)
 }
 
 // The event wheel replaces a map[int64][]func() of closures: GDN/GRN
@@ -345,28 +355,33 @@ const (
 	evSlowOPN                  // delayed OPN delivery (SlowOPNRouter ablation)
 )
 
-// schedEvent is one future delivery. Payloads are copied at schedule time
-// (matching the old closures' captured values) and interpreted by kind.
+// schedEvent is one future delivery, interpreted by kind. It carries only
+// indices: a GDN beat names its frame and position, and the instruction or
+// header entry it delivers stays in the frame's dispatchPayload, written
+// once per dispatch.
 type schedEvent struct {
 	kind evKind
-	slot int
+	tile uint8  // receiving tile: ET, RT, DT or IT index by kind
+	slot uint8  // block frame
+	idx  uint8  // body: instruction index; header: beat number
+	mask uint32 // evStoreMask: the block's store mask
 	seq  uint64 // block seq; evRefill reuses it for the block address
-	idx  int    // body: instruction index; header: beat number
 
-	et *etTile
-	rt *rtTile
-	dt *dtTile
-	it *itTile
-
-	inst isa.Inst
-	rd   isa.ReadInst
-	wr   isa.WriteInst
-	mask uint32
-
+	// evSlowOPN: the delayed delivery.
 	at  micronet.Coord
 	msg *opnMsg
+}
 
-	ev *critpath.Event
+// dispatchPayload is one frame's GDN cargo: the block's instructions and
+// header entries and its dispatch critical-path event. scheduleDispatch
+// rewrites it only while binding every tile's frame to the new block, so a
+// wheel event whose seq still matches its tile's frame reads its own
+// block's payload; a stale event fails that check before touching it.
+type dispatchPayload struct {
+	insts  [isa.MaxBlockInsts]isa.Inst
+	reads  [isa.MaxBlockReads]isa.ReadInst
+	writes [isa.MaxBlockWrites]isa.WriteInst
+	ev     critpath.Event
 }
 
 // scheduleEv registers an event to run at the start of the given cycle.
@@ -407,31 +422,47 @@ func (c *Core) runEvents(now int64) {
 	}
 }
 
+// runEvent fires one wheel event. Each GDN delivery checks that its
+// tile's frame still holds the event's block before reading the frame's
+// payload: after a flush rebinds the slot, the payload is the new block's.
 func (c *Core) runEvent(now int64, e *schedEvent) {
+	slot := int(e.slot)
 	switch e.kind {
 	case evBodyInst:
-		ev := c.newEvent(now, e.ev, critpath.Split{}, critpath.CatIFetch)
-		e.et.deliverInst(e.slot, e.seq, e.idx, e.inst, ev)
+		et := c.ets[e.tile]
+		et.wake()
+		if et.slotSeq[slot] != e.seq {
+			return // stale dispatch (frame was flushed and rebound)
+		}
+		p := &c.payload[slot]
+		et.deliverInst(slot, int(e.idx), &p.insts[e.idx], c.newEvent(now, p.ev, critpath.Split{}, critpath.CatIFetch))
 	case evHeaderBeat:
-		ev := c.newEvent(now, e.ev, critpath.Split{}, critpath.CatIFetch)
-		e.rt.deliverHeaderBeat(e.slot, e.seq, e.idx, e.rd, e.wr, ev)
+		rt := c.rts[e.tile]
+		rt.active = true
+		if rt.slotSeq[slot] != e.seq {
+			return
+		}
+		p := &c.payload[slot]
+		j := int(e.idx)*isa.NumRTs + rt.id
+		rt.deliverHeaderBeat(slot, int(e.idx), p.reads[j], p.writes[j], c.newEvent(now, p.ev, critpath.Split{}, critpath.CatIFetch))
 	case evStoreMask:
-		d := e.dt
+		d := c.dts[e.tile]
 		d.wake()
-		if d.slotSeq[e.slot] == e.seq {
-			d.storeMask[e.slot] = e.mask
-			d.maskKnown[e.slot] = true
-			d.bindEv[e.slot] = c.newEvent(now, e.ev, critpath.Split{}, critpath.CatIFetch)
+		if d.slotSeq[slot] == e.seq {
+			d.storeMask[slot] = e.mask
+			d.maskKnown[slot] = true
+			d.bindEv[slot] = c.newEvent(now, c.payload[slot].ev, critpath.Split{}, critpath.CatIFetch)
 			if c.trace != nil {
 				c.trace.Emit(obs.Event{
 					Cycle: now, Seq: e.seq, Arg: uint64(d.id),
-					Kind: obs.KindStoreMask, Slot: int16(e.slot),
+					Kind: obs.KindStoreMask, Slot: int16(slot),
 				})
 			}
 		}
 	case evRefill:
-		e.it.active = true
-		e.it.onRefill(e.seq)
+		it := c.its[e.tile]
+		it.active = true
+		it.onRefill(e.seq)
 	case evSlowOPN:
 		c.routeDelivered(now, e.at, e.msg)
 	}
@@ -491,8 +522,26 @@ func (c *Core) deliverOPN(at micronet.Coord) (*opnMsg, bool) {
 }
 
 // issueGCN queues a control command for broadcast (one launches per cycle;
-// the queue is how commit commands pipeline, paper Section 4.4).
-func (c *Core) issueGCN(msg gcnMsg) { c.gcnQueue.Push(msg) }
+// the queue is how commit commands pipeline, paper Section 4.4). The
+// command is stored in the wave ring; the queue and network carry its id.
+func (c *Core) issueGCN(msg gcnMsg) {
+	if c.waveCount == gcnRingSize {
+		panic(fmt.Sprintf("proc: GCN wave ring overflow: %d commands in flight", c.waveCount))
+	}
+	id := (c.waveHead + c.waveCount) % gcnRingSize
+	c.waves[id] = msg
+	c.waveCount++
+	c.gcnQueue.Push(gcnWave(id))
+}
+
+// retireWave frees the ring entry of a wave the farthest node has applied.
+func (c *Core) retireWave(id gcnWave) {
+	if c.waveCount == 0 || int(id) != c.waveHead {
+		panic(fmt.Sprintf("proc: GCN wave %d retired out of order (oldest %d, %d in flight)", id, c.waveHead, c.waveCount))
+	}
+	c.waveHead = (c.waveHead + 1) % gcnRingSize
+	c.waveCount--
+}
 
 func (c *Core) canIssueGCN() bool { return true }
 
@@ -500,32 +549,26 @@ func (c *Core) canIssueGCN() bool { return true }
 // IT k after 1+k cycles (paper Section 4.1).
 func (c *Core) issueGRN(addr uint64) {
 	for k := range c.its {
-		c.scheduleEv(c.cycle+1+int64(k), schedEvent{kind: evRefill, it: c.its[k], seq: addr})
+		c.scheduleEv(c.cycle+1+int64(k), schedEvent{kind: evRefill, tile: uint8(k), seq: addr})
 	}
 }
 
 // noteStoreEv tracks the last-arriving store event per frame, from DT0's
 // DSN-complete view, for completion-phase attribution.
-func (c *Core) noteStoreEv(slot int, seq uint64, ev *critpath.Event) {
+func (c *Core) noteStoreEv(slot int, seq uint64, ev critpath.Event) {
 	if c.storeSeq[slot] != seq {
-		c.storeEvs[slot] = nil
+		c.storeEvs[slot] = critpath.Event{}
 		c.storeSeq[slot] = seq
 	}
 	c.storeEvs[slot] = critpath.Latest(c.storeEvs[slot], ev)
 }
 
-func (c *Core) storeEv(slot int, seq uint64) *critpath.Event {
+func (c *Core) storeEv(slot int, seq uint64) critpath.Event {
 	if c.storeSeq[slot] != seq {
-		return nil
+		return critpath.Event{}
 	}
 	return c.storeEvs[slot]
 }
-
-// cancelScheduled is a hook for dropping flushed dispatch work; staleness
-// filtering at the tiles already guarantees correctness, so this only
-// exists to document the GDN property that a refetch can never overtake a
-// flush (paper Section 4.3).
-func (c *Core) cancelScheduled(mask uint8, seqs [8]uint64) {}
 
 // onBlockRetired records commit statistics.
 func (c *Core) onBlockRetired(addr uint64) {
@@ -561,18 +604,22 @@ func (c *Core) markTimeline(seq, addr uint64, phase string) {
 // one block (paper Section 4.1): the GT issues eight beat commands on
 // consecutive cycles; ITs read their banks and stream four instructions per
 // cycle eastward across their rows.
-func (c *Core) scheduleDispatch(now int64, slot int, seq uint64, thread int, addr uint64, hdr *isa.HeaderInfo, dispEv *critpath.Event) {
+func (c *Core) scheduleDispatch(now int64, slot int, seq uint64, thread int, addr uint64, hdr *isa.HeaderInfo, dispEv critpath.Event) {
 	// The instruction payloads come from the IT banks (refilled over the
 	// GRN), not from the program map: the ITs are the architects of what
-	// actually executes.
-	bodies := make([]*[isa.BodyChunkInsts]isa.Inst, hdr.BodyChunks)
+	// actually executes. They land in the frame's payload once; the beats
+	// scheduled below carry only their positions in it.
+	p := &c.payload[slot]
 	for chunk := 0; chunk < hdr.BodyChunks; chunk++ {
 		insts, err := c.its[chunk+1].bodyOf(addr)
 		if err != nil {
 			panic(fmt.Sprintf("proc: dispatch without chunk %d: %v", chunk, err))
 		}
-		bodies[chunk] = insts
+		copy(p.insts[chunk*isa.BodyChunkInsts:], insts[:])
 	}
+	p.reads = hdr.Reads
+	p.writes = hdr.Writes
+	p.ev = dispEv
 
 	// Control-state binding happens as the dispatch command leaves the GT;
 	// per-payload timing below models the pipelined distribution.
@@ -590,7 +637,7 @@ func (c *Core) scheduleDispatch(now int64, slot int, seq uint64, thread int, add
 	mask := hdr.StoreMask
 	for i, d := range c.dts {
 		c.scheduleEv(now+3+int64(i), schedEvent{
-			kind: evStoreMask, dt: d, slot: slot, seq: seq, mask: mask, ev: dispEv,
+			kind: evStoreMask, tile: uint8(d.id), slot: uint8(slot), seq: seq, mask: mask,
 		})
 	}
 
@@ -599,11 +646,9 @@ func (c *Core) scheduleDispatch(now int64, slot int, seq uint64, thread int, add
 	it0 := gdnCmdToIT + itBankCycles
 	for b := 0; b < dispatchBeats; b++ {
 		for rt := 0; rt < isa.NumRTs; rt++ {
-			j := b*4 + rt
 			arrive := now + int64(it0+b+(rt+1)+1)
 			c.scheduleEv(arrive, schedEvent{
-				kind: evHeaderBeat, rt: c.rts[rt], slot: slot, seq: seq,
-				idx: b, rd: hdr.Reads[j], wr: hdr.Writes[j], ev: dispEv,
+				kind: evHeaderBeat, tile: uint8(rt), slot: uint8(slot), seq: seq, idx: uint8(b),
 			})
 		}
 	}
@@ -620,8 +665,7 @@ func (c *Core) scheduleDispatch(now int64, slot int, seq uint64, thread int, add
 				}
 				arrive := now + int64(itk+b+(col+1)+1)
 				c.scheduleEv(arrive, schedEvent{
-					kind: evBodyInst, et: c.ets[isa.ETOf(idx)], slot: slot, seq: seq,
-					idx: idx, inst: bodies[chunk][idx%isa.BodyChunkInsts], ev: dispEv,
+					kind: evBodyInst, tile: uint8(isa.ETOf(idx)), slot: uint8(slot), seq: seq, idx: uint8(idx),
 				})
 			}
 		}
@@ -852,18 +896,21 @@ func (c *Core) pumpGCNDeliveries(now int64) {
 		for col := 0; col < 5; col++ {
 			at := micronet.Coord{Row: row, Col: col}
 			for {
-				cmd, ok := c.gcn.Deliver(at)
+				id, ok := c.gcn.Deliver(at)
 				if !ok {
 					break
 				}
 				c.gcn.Pop(at)
-				c.applyGCN(now, at, cmd)
+				c.applyGCN(now, at, &c.waves[id])
+				if at == gcnLastCoord() {
+					c.retireWave(id)
+				}
 			}
 		}
 	}
 }
 
-func (c *Core) applyGCN(now int64, at micronet.Coord, cmd gcnMsg) {
+func (c *Core) applyGCN(now int64, at micronet.Coord, cmd *gcnMsg) {
 	if at == gtCoord() {
 		return // the GT issued it
 	}
@@ -1124,57 +1171,19 @@ func (c *Core) Run() (Result, error) {
 			return Result{}, fmt.Errorf("proc: no commit in 200000 cycles at cycle %d (%d blocks committed): deadlock", c.cycle, c.CommittedBlocks)
 		}
 	}
-	return c.buildResult(), nil
+	return c.buildResult()
 }
 
-// buildResult summarizes the run; shared by Run and the bounded-lag runner.
-func (c *Core) buildResult() Result {
-	res := Result{
-		Cycles:          c.cycle,
-		CommittedBlocks: c.CommittedBlocks,
-		CommittedInsts:  c.CommittedInsts,
-		Flushes:         uint64(c.gt.Flushes),
-		Mispredicts:     c.gt.Mispredicts,
-		Violations:      c.gt.ViolationFlushes,
-	}
-	if res.Cycles > 0 {
-		res.IPC = float64(res.CommittedInsts) / float64(res.Cycles)
-	}
-	if c.cfg.TrackCritPath && c.gt.lastCommitEv != nil {
-		res.CritPath = critpath.Finish(c.gt.lastCommitEv)
-	}
-	return res
-}
-
-// DebugState summarizes per-tile block state for deadlock diagnosis.
-func (c *Core) DebugState() string {
-	var b []byte
-	app := func(f string, a ...any) { b = fmt.Appendf(b, f, a...) }
-	for s := 0; s < NumSlots; s++ {
-		bc := &c.gt.slots[s]
-		if !bc.valid {
-			continue
-		}
-		app("slot %d seq=%d addr=%#x br=%v w=%v s=%v cs=%v ackR=%v ackS=%v\n",
-			s, bc.seq, bc.addr, bc.branchSeen, bc.writesDone, bc.storesDone, bc.commitSent, bc.ackR, bc.ackS)
-		for i, d := range c.dts {
-			app("  dt%d seen=%x mask=%x known=%v inQ=%d stalled=%d conflict=%d loads=%d stores=%d\n",
-				i, d.storeSeen[s], d.storeMask[s], d.maskKnown[s], d.inQ.Len(), len(d.stalled), len(d.conflictLoads), d.Loads, d.Stores)
-		}
-		for i, e := range c.ets {
-			live := 0
-			for k := range e.stations[s] {
-				st := &e.stations[s][k]
-				if st.present && !st.fired {
-					live++
-				}
-			}
-			if live > 0 {
-				app("  et%d unfired=%d outQ=%d pipe=%d\n", i, live, e.outQ.Len(), len(e.pipe))
-			}
+// buildResult summarizes a finished run for Run and the bounded-lag
+// runners: Result, failing with a *critpath.OverflowError when the critical
+// path outran its counters.
+func (c *Core) buildResult() (Result, error) {
+	if c.cfg.TrackCritPath {
+		if _, err := critpath.Finish(c.gt.lastCommitEv); err != nil {
+			return Result{}, fmt.Errorf("proc: %w", err)
 		}
 	}
-	return string(b)
+	return c.Result(), nil
 }
 
 // Done reports whether every thread has halted with all blocks retired and
@@ -1211,7 +1220,9 @@ func (c *Core) SetLagFaults(horizonOverride, deadlinePad int64) {
 }
 
 // Result returns the current run statistics (used by chip-level loops
-// that step cores manually instead of calling Run).
+// that step cores manually instead of calling Run). A critical path that
+// outran its counters leaves CritPath empty here; Run and the RunLag
+// wrappers report it as an error.
 func (c *Core) Result() Result {
 	res := Result{
 		Cycles:          c.cycle,
@@ -1224,8 +1235,8 @@ func (c *Core) Result() Result {
 	if res.Cycles > 0 {
 		res.IPC = float64(res.CommittedInsts) / float64(res.Cycles)
 	}
-	if c.cfg.TrackCritPath && c.gt.lastCommitEv != nil {
-		res.CritPath = critpath.Finish(c.gt.lastCommitEv)
+	if c.cfg.TrackCritPath && c.gt.lastCommitEv.Valid() {
+		res.CritPath, _ = critpath.Finish(c.gt.lastCommitEv)
 	}
 	return res
 }

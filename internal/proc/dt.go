@@ -25,9 +25,9 @@ func physical(addr uint64) uint64 { return addr &^ UncachedBit }
 // pendingLoad is a load awaiting cache data or prior-store completion.
 type pendingLoad struct {
 	msg     *opnMsg
-	ev      *critpath.Event // arrival event at this DT
-	readyAt int64           // cache hit completion time (0 = not yet accessed)
-	waiting bool            // stalled on prior stores (dependence predictor)
+	ev      critpath.Event // arrival event at this DT
+	readyAt int64          // cache hit completion time (0 = not yet accessed)
+	waiting bool           // stalled on prior stores (dependence predictor)
 }
 
 // dtTile is one of the four data tiles: a 2-way 8KB L1 data-cache bank, a
@@ -50,7 +50,7 @@ type dtTile struct {
 	storeMask  [NumSlots]uint32
 	storeSeen  [NumSlots]uint32
 	maskKnown  [NumSlots]bool
-	bindEv     [NumSlots]*critpath.Event // dispatch-time dependency for 0-store blocks
+	bindEv     [NumSlots]critpath.Event // dispatch-time dependency for 0-store blocks
 
 	// Inbound memory operations: the LSQ accepts one load or store per
 	// cycle (paper Section 3.5).
@@ -68,7 +68,6 @@ type dtTile struct {
 	// Commit drains: stores flowing to the cache bank, one per cycle.
 	drains     map[uint64][]*lsq.Entry // seq -> remaining stores
 	drainOrder micronet.Queue[uint64]
-	drainEvs   map[uint64]*critpath.Event
 	uncachedSt map[*lsq.Entry]int // uncached store commit state (1 in flight, 2 done)
 	// wb is the one-entry back-side coalescing write buffer (paper 3.5):
 	// a committed store that misses the bank retires into the buffer while
@@ -83,11 +82,11 @@ type dtTile struct {
 	finishSent [NumSlots]bool
 	ackOwn     [NumSlots]bool
 	ackEast    [NumSlots]bool
-	ackOwnEv   [NumSlots]*critpath.Event
-	ackEastEv  [NumSlots]*critpath.Event
+	ackOwnEv   [NumSlots]critpath.Event
+	ackEastEv  [NumSlots]critpath.Event
 	ackSent    [NumSlots]bool
 	committing [NumSlots]bool
-	commitEv   [NumSlots]*critpath.Event
+	commitEv   [NumSlots]critpath.Event
 
 	outQ micronet.Queue[*opnMsg]
 	dsnQ micronet.Queue[dsnMsg]
@@ -120,7 +119,6 @@ func newDT(core *Core, id int) *dtTile {
 		mshr:       cache.NewMSHR(4, 16),
 		dep:        lsq.NewDepPredictor(),
 		drains:     make(map[uint64][]*lsq.Entry),
-		drainEvs:   make(map[uint64]*critpath.Event),
 		uncachedSt: make(map[*lsq.Entry]int),
 	}
 	for t := range d.lsqs {
@@ -168,11 +166,11 @@ func (d *dtTile) bindSlot(slot int, seq uint64, thread int, mask uint32) {
 	d.finishSent[slot] = false
 	d.ackOwn[slot] = false
 	d.ackEast[slot] = false
-	d.ackOwnEv[slot] = nil
-	d.ackEastEv[slot] = nil
+	d.ackOwnEv[slot] = critpath.Event{}
+	d.ackEastEv[slot] = critpath.Event{}
 	d.ackSent[slot] = false
 	d.committing[slot] = false
-	d.commitEv[slot] = nil
+	d.commitEv[slot] = critpath.Event{}
 }
 
 // enqueue accepts an arriving OPN memory operation.
@@ -389,7 +387,7 @@ func (d *dtTile) acceptOne(now int64) {
 	}
 }
 
-func (d *dtTile) handleLoad(now int64, msg *opnMsg, ev *critpath.Event) {
+func (d *dtTile) handleLoad(now int64, msg *opnMsg, ev critpath.Event) {
 	d.Loads++
 	pl := &pendingLoad{msg: msg, ev: ev}
 	// A dependence prediction occurs in parallel with the cache access when
@@ -534,7 +532,7 @@ func (d *dtTile) completeHits(now int64) {
 
 // replyLoad routes the loaded value to the load's target instructions. The
 // request message is fully consumed here, so it returns to the pool.
-func (d *dtTile) replyLoad(_ int64, msg *opnMsg, v Value, ev *critpath.Event) {
+func (d *dtTile) replyLoad(_ int64, msg *opnMsg, v Value, ev critpath.Event) {
 	for _, tgt := range []isa.Target{msg.ldT0, msg.ldT1} {
 		if !tgt.Valid() {
 			continue
@@ -555,7 +553,7 @@ func (d *dtTile) replyLoad(_ int64, msg *opnMsg, v Value, ev *critpath.Event) {
 	d.core.freeOPNMsg(msg)
 }
 
-func (d *dtTile) handleStore(now int64, msg *opnMsg, ev *critpath.Event) {
+func (d *dtTile) handleStore(now int64, msg *opnMsg, ev critpath.Event) {
 	d.Stores++
 	if msg.data.Null {
 		d.NullStores++
@@ -574,22 +572,22 @@ func (d *dtTile) handleStore(now int64, msg *opnMsg, ev *critpath.Event) {
 		v := violated[0]
 		d.dep.Mispredicted(v.Addr)
 		d.gsnOut.Push(gsnMsg{
-			kind: gsnViolation, seq: msg.seq, violSeq: v.BlockSeq, violAddr: v.Addr,
+			kind: gsnViolation, seq: v.BlockSeq,
 			ev: d.core.newEvent(now, ev, critpath.Split{}, critpath.CatOther),
 		})
 	}
 	// Record the store locally and notify the other DTs on the DSN.
 	d.noteStore(now, msg.slot, msg.seq, msg.lsid, ev)
 	if d.id == 0 {
-		d.core.noteStoreEv(msg.slot, msg.seq, ev)
+		d.core.noteStoreEv(int(msg.slot), msg.seq, ev)
 	}
-	d.dsnQ.Push(dsnMsg{slot: msg.slot, seq: msg.seq, thread: msg.thread, lsid: msg.lsid, ev: ev})
+	d.dsnQ.Push(dsnMsg{slot: uint8(msg.slot), lsid: uint8(msg.lsid), seq: msg.seq, ev: ev})
 	// The store request is fully consumed (the LSQ copied its payload).
 	d.core.freeOPNMsg(msg)
 }
 
 // noteStore marks a store LSID as received for a frame.
-func (d *dtTile) noteStore(_ int64, slot int, seq uint64, lsid int, _ *critpath.Event) {
+func (d *dtTile) noteStore(_ int64, slot int, seq uint64, lsid int, _ critpath.Event) {
 	if d.slotSeq[slot] != seq {
 		return
 	}
@@ -608,7 +606,7 @@ func (d *dtTile) pumpDSN(now int64) {
 			d.storeSeen[msg.slot] |= 1 << uint(msg.lsid)
 			if d.id == 0 {
 				// Track the latest store arrival for completion events.
-				d.core.noteStoreEv(msg.slot, msg.seq, d.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatComplete))
+				d.core.noteStoreEv(int(msg.slot), msg.seq, d.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatComplete))
 			}
 		}
 	}
@@ -711,15 +709,6 @@ func removeLoad(s []*pendingLoad, pl *pendingLoad) []*pendingLoad {
 	return s
 }
 
-func (d *dtTile) slotOfSeq(seq uint64) (int, bool) {
-	for s := 0; s < NumSlots; s++ {
-		if d.slotSeq[s] == seq {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
 // checkFinish implements store-completion detection: the nearest DT (DT0)
 // notifies the GT when all of a block's expected stores have arrived
 // (paper Section 4.4).
@@ -742,7 +731,7 @@ func (d *dtTile) checkFinish(now int64) {
 		}
 		dep := critpath.Latest(d.core.storeEv(s, d.slotSeq[s]), d.bindEv[s])
 		ev := d.core.newEvent(now, dep, critpath.Split{}, critpath.CatComplete)
-		d.core.gsnDT.Send(1, gsnMsg{kind: gsnFinishS, slot: s, seq: d.slotSeq[s], ev: ev})
+		d.core.gsnDT.Send(1, gsnMsg{kind: gsnFinishS, slot: uint8(s), seq: d.slotSeq[s], ev: ev})
 		d.finishSent[s] = true
 	}
 }
@@ -752,7 +741,7 @@ func (d *dtTile) checkFinish(now int64) {
 // still see them), which architecturally commits them — so the commit
 // acknowledgment does not wait for slow line fills; those complete in the
 // background through the write buffer.
-func (d *dtTile) onCommitCommand(now int64, slot int, seq uint64, ev *critpath.Event) {
+func (d *dtTile) onCommitCommand(now int64, slot int, seq uint64, ev critpath.Event) {
 	d.wake()
 	if d.slotSeq[slot] != seq {
 		return
@@ -763,7 +752,6 @@ func (d *dtTile) onCommitCommand(now int64, slot int, seq uint64, ev *critpath.E
 	stores := d.lsqs[thread].CommitBlock(seq)
 	d.drains[seq] = stores
 	d.drainOrder.Push(seq)
-	d.drainEvs[seq] = d.commitEv[slot]
 	d.ackOwn[slot] = true
 	d.ackOwnEv[slot] = d.commitEv[slot]
 	d.dep.OnBlockCommit()
@@ -780,7 +768,6 @@ func (d *dtTile) pumpDrain(now int64) {
 		if len(stores) == 0 {
 			delete(d.drains, seq)
 			d.drainOrder.Pop()
-			delete(d.drainEvs, seq)
 		} else {
 			st := stores[0]
 			if d.commitStore(st) {
@@ -800,7 +787,7 @@ func (d *dtTile) pumpDrain(now int64) {
 			continue
 		}
 		ev := d.core.newEvent(now, critpath.Latest(d.ackOwnEv[s], d.ackEastEv[s]), critpath.Split{}, critpath.CatCommit)
-		d.core.gsnDT.Send(d.id+1, gsnMsg{kind: gsnAckS, slot: s, seq: d.slotSeq[s], ev: ev})
+		d.core.gsnDT.Send(d.id+1, gsnMsg{kind: gsnAckS, slot: uint8(s), seq: d.slotSeq[s], ev: ev})
 		d.ackSent[s] = true
 		d.slotSeq[s] = 0
 	}

@@ -12,7 +12,7 @@ import (
 type operand struct {
 	have bool
 	v    Value
-	ev   *critpath.Event
+	ev   critpath.Event
 }
 
 // station is one reservation station: an instruction plus two 64-bit data
@@ -25,7 +25,7 @@ type station struct {
 	left    operand
 	right   operand
 	pred    operand
-	arrEv   *critpath.Event // instruction arrival (GDN dispatch)
+	arrEv   critpath.Event // instruction arrival (GDN dispatch)
 }
 
 // inflight is an operation in the execution pipeline.
@@ -36,7 +36,7 @@ type inflight struct {
 	thread int
 	st     *station
 	result Value
-	ev     *critpath.Event
+	ev     critpath.Event
 }
 
 // etTile is one of the sixteen execution tiles: a single-issue pipeline, a
@@ -110,17 +110,14 @@ func (e *etTile) bindSlot(slot int, seq uint64, thread int) {
 // deliverInst installs a dispatched instruction into its reservation
 // station ("written into ... the reservation stations in the ETs when they
 // arrive, and are available to execute as soon as they arrive", paper 4.1).
-func (e *etTile) deliverInst(slot int, seq uint64, index int, in isa.Inst, ev *critpath.Event) {
-	e.wake()
-	if e.slotSeq[slot] != seq {
-		return // stale dispatch (frame was flushed and rebound)
-	}
+// The caller (Core.runEvent) has woken the tile and checked the frame.
+func (e *etTile) deliverInst(slot, index int, in *isa.Inst, ev critpath.Event) {
 	s := &e.stations[slot][isa.SlotOf(index)]
 	// Operands routed by early-dispatched producers may already be waiting
 	// in the station; instruction arrival must not clear them.
 	wasPending := s.present && !s.fired
 	s.present = true
-	s.inst = in
+	s.inst = *in
 	s.index = index
 	s.arrEv = ev
 	if in.Op == isa.NOP {
@@ -151,7 +148,7 @@ func (e *etTile) reeval(slot, i int) {
 }
 
 // deliverOperand fills an operand field from the OPN or the local bypass.
-func (e *etTile) deliverOperand(slot int, seq uint64, tgt isa.Target, v Value, ev *critpath.Event) {
+func (e *etTile) deliverOperand(slot int, seq uint64, tgt isa.Target, v Value, ev critpath.Event) {
 	e.wake()
 	if e.slotSeq[slot] != seq {
 		e.DroppedStale++
@@ -306,7 +303,7 @@ func (e *etTile) selectAndIssue(now int64) (issued, blocked bool) {
 	parent := best.arrEv
 	parentCat := critpath.CatIFetch
 	consider := func(op *operand) {
-		if op.have && op.ev != nil && (parent == nil || op.ev.Cycle >= parent.Cycle) {
+		if op.have && op.ev.Valid() && (!parent.Valid() || op.ev.Cycle >= parent.Cycle) {
 			parent = op.ev
 			parentCat = critpath.CatOther
 		}
@@ -423,7 +420,7 @@ func (e *etTile) route(now int64, f inflight) {
 
 // emitValue routes one result value to one target: same-ET targets use the
 // local bypass path (back-to-back issue); everything else crosses the OPN.
-func (e *etTile) emitValue(now int64, f inflight, tgt isa.Target, v Value, ev *critpath.Event) {
+func (e *etTile) emitValue(now int64, f inflight, tgt isa.Target, v Value, ev critpath.Event) {
 	if !tgt.Valid() {
 		return
 	}

@@ -31,21 +31,18 @@ type blockCtx struct {
 	branchNext  uint64
 	branchExit  int
 	branchKind  predictor.Kind
-	branchEv    *critpath.Event
+	branchEv    critpath.Event
 	writesDone  bool
-	writesEv    *critpath.Event
+	writesEv    critpath.Event
 	storesDone  bool
-	storesEv    *critpath.Event
+	storesEv    critpath.Event
 	mispChecked bool
 
 	// Commit tracking (phases two and three).
 	commitSent bool
-	commitEv   *critpath.Event
 	ackR, ackS bool
-	ackREv     *critpath.Event
-	ackSEv     *critpath.Event
-
-	dispatchEv *critpath.Event
+	ackREv     critpath.Event
+	ackSEv     critpath.Event
 }
 
 func (b *blockCtx) complete() bool { return b.branchSeen && b.writesDone && b.storesDone }
@@ -123,7 +120,7 @@ type gtTile struct {
 
 	// Stats.
 	Fetches, Refills, Flushes, Mispredicts, ViolationFlushes, Commits uint64
-	lastCommitEv                                                      *critpath.Event
+	lastCommitEv                                                      critpath.Event
 }
 
 func newGT(core *Core) *gtTile {
@@ -236,11 +233,11 @@ func (g *gtTile) pumpGSN(now int64) {
 			case gsnFinishR:
 				b.writesDone = true
 				b.writesEv = g.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatComplete)
-				g.core.traceBlock(obs.KindWritesDone, msg.slot, msg.seq, b.addr, critpath.CatComplete)
+				g.core.traceBlock(obs.KindWritesDone, int(msg.slot), msg.seq, b.addr, critpath.CatComplete)
 			case gsnAckR:
 				b.ackR = true
 				b.ackREv = g.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatCommit)
-				g.core.traceBlock(obs.KindCommitAckR, msg.slot, msg.seq, b.addr, critpath.CatCommit)
+				g.core.traceBlock(obs.KindCommitAckR, int(msg.slot), msg.seq, b.addr, critpath.CatCommit)
 			}
 		}
 	}
@@ -252,13 +249,13 @@ func (g *gtTile) pumpGSN(now int64) {
 			if b.valid && b.seq == msg.seq {
 				b.storesDone = true
 				b.storesEv = g.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatComplete)
-				g.core.traceBlock(obs.KindStoresDone, msg.slot, msg.seq, b.addr, critpath.CatComplete)
+				g.core.traceBlock(obs.KindStoresDone, int(msg.slot), msg.seq, b.addr, critpath.CatComplete)
 			}
 		case gsnAckS:
 			if b.valid && b.seq == msg.seq {
 				b.ackS = true
 				b.ackSEv = g.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatCommit)
-				g.core.traceBlock(obs.KindCommitAckS, msg.slot, msg.seq, b.addr, critpath.CatCommit)
+				g.core.traceBlock(obs.KindCommitAckS, int(msg.slot), msg.seq, b.addr, critpath.CatCommit)
 			}
 		case gsnViolation:
 			g.onViolation(now, msg)
@@ -282,7 +279,7 @@ func (g *gtTile) onViolation(now int64, msg gsnMsg) {
 	var victim *blockCtx
 	for s := range g.slots {
 		b := &g.slots[s]
-		if b.valid && b.seq == msg.violSeq {
+		if b.valid && b.seq == msg.seq {
 			victim = b
 			break
 		}
@@ -348,7 +345,7 @@ func (g *gtTile) checkMispredicts(now int64) {
 
 // flushFrom squashes every in-flight block with seq >= from (same thread as
 // the named block), issuing a GCN flush wave and repairing the predictor.
-func (g *gtTile) flushFrom(now int64, from uint64, ev *critpath.Event) {
+func (g *gtTile) flushFrom(now int64, from uint64, ev critpath.Event) {
 	var mask uint8
 	var seqs [8]uint64
 	var oldest *blockCtx
@@ -408,7 +405,6 @@ func (g *gtTile) flushFrom(now int64, from uint64, ev *critpath.Event) {
 	// Younger dispatch schedules die via seq filtering at the tiles; the
 	// GDN becomes free for the refetch immediately (Section 4.3: the GT
 	// may issue a new dispatch as soon as the flush wave is on the GCN).
-	g.core.cancelScheduled(mask, seqs)
 }
 
 // tryCommit runs phase two of the commit protocol: send pipelined commit
@@ -430,8 +426,8 @@ func (g *gtTile) tryCommit(now int64) {
 			g.core.markTimeline(b.seq, b.addr, "complete")
 			g.core.traceBlock(obs.KindBlockComplete, g.slotOf(b), b.seq, b.addr, critpath.CatComplete)
 			doneEv := critpath.Latest(critpath.Latest(b.branchEv, b.writesEv), b.storesEv)
-			b.commitEv = g.core.newEvent(now, doneEv, critpath.Split{}, critpath.CatComplete)
-			g.core.issueGCN(gcnMsg{kind: gcnCommit, slot: g.slotOf(b), seq: b.seq, ev: b.commitEv})
+			commitEv := g.core.newEvent(now, doneEv, critpath.Split{}, critpath.CatComplete)
+			g.core.issueGCN(gcnMsg{kind: gcnCommit, slot: g.slotOf(b), seq: b.seq, ev: commitEv})
 			b.commitSent = true
 			g.core.markTimeline(b.seq, b.addr, "commit")
 			g.core.traceBlock(obs.KindCommitCmd, g.slotOf(b), b.seq, b.addr, critpath.CatCommit)
@@ -617,8 +613,8 @@ func (g *gtTile) beginDispatch(now int64, ti, slot int, addr uint64) {
 	g.dispatchBusyUntil = now + dispatchBeats
 	g.core.markTimeline(seq, addr, "dispatch")
 	g.core.traceBlock(obs.KindBlockDispatch, slot, seq, addr, critpath.CatIFetch)
-	b.dispatchEv = g.core.newEvent(now, g.lastCommitEv, critpath.Split{}, critpath.CatIFetch)
-	g.core.scheduleDispatch(now, slot, seq, ti, addr, hdr, b.dispatchEv)
+	dispatchEv := g.core.newEvent(now, g.lastCommitEv, critpath.Split{}, critpath.CatIFetch)
+	g.core.scheduleDispatch(now, slot, seq, ti, addr, hdr, dispatchEv)
 	t.nextFetch = succPred.Next
 	t.lastSeq = seq
 	t.pendingPred = succPred

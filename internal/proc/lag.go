@@ -747,7 +747,7 @@ func (c *Core) RunLag(mem LagMem, maxStride int64, stats *LagStats) (Result, err
 	if _, err := RunBoundedLag(mem, []LagCore{{Core: c, Owner: 0}}, cfg); err != nil {
 		return Result{}, err
 	}
-	return c.buildResult(), nil
+	return c.buildResult()
 }
 
 // RunLagWithCheckpoint runs like RunLag but captures a checkpoint mid-run:
@@ -824,5 +824,5 @@ func (c *Core) RunLagCheckpointed(mem LagMem, maxStride int64, stats *LagStats) 
 	if _, err := RunBoundedLag(mem, cores, mkCfg(0)); err != nil {
 		return Result{}, err
 	}
-	return c.buildResult(), nil
+	return c.buildResult()
 }

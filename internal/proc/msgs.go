@@ -68,7 +68,7 @@ type opnMsg struct {
 	tid uint64
 
 	// Critical-path dependency carried with the message.
-	ev *critpath.Event
+	ev critpath.Event
 }
 
 func (m *opnMsg) Dest() micronet.Coord { return m.dst }
@@ -94,14 +94,13 @@ const (
 
 // gsnMsg is one global status network message (6-bit links in Table 2; the
 // violation report rides the same wires over multiple beats in hardware).
+// seq names the block; a refill reuses it for the block address and a
+// violation for the block holding the violated load.
 type gsnMsg struct {
 	kind gsnKind
-	slot int
+	slot uint8
 	seq  uint64
-	// violation payload
-	violSeq  uint64 // block containing the violated load
-	violAddr uint64 // load address, for dependence-predictor training
-	ev       *critpath.Event
+	ev   critpath.Event
 }
 
 // gcnKind discriminates global control network commands.
@@ -115,15 +114,28 @@ const (
 // gcnMsg is one global control network command (13-bit links): commit one
 // block, or flush a set of blocks identified by a slot mask (Section 4.3:
 // "The GCN includes a block identifier mask indicating which block or
-// blocks must be flushed").
+// blocks must be flushed"). A command is stored once, in the core's wave
+// ring; the network carries its gcnWave id.
 type gcnMsg struct {
 	kind gcnKind
 	slot int    // commit: the committing block's frame
 	seq  uint64 // commit: its dynamic number
 	mask uint8  // flush: bit per slot
 	seqs [8]uint64
-	ev   *critpath.Event
+	ev   critpath.Event
 }
+
+// gcnWave names one GCN command in flight: its index in the core's wave
+// ring (Core.waves).
+type gcnWave uint8
+
+// gcnRingSize bounds the GCN commands in flight at once, from issue until
+// the wave reaches the farthest node. Every commit wave retires a
+// dispatched block and every flush wave squashes at least one, the GDN
+// dispatches at most one block per eight cycles into at most eight frames,
+// and a wave lives about nine cycles (one launch per cycle, eight hops), so
+// the ring never fills; issueGCN checks it.
+const gcnRingSize = 32
 
 // grnMsg is one global refill network command (36-bit links): the physical
 // address of the block whose chunks the ITs must fetch (Section 4.1).
@@ -137,9 +149,8 @@ type grnMsg struct {
 // store's LSID and block identity, broadcast among the DTs so each can
 // track store completion without knowing the store's address (Section 4.4).
 type dsnMsg struct {
-	slot   int
-	seq    uint64
-	thread int
-	lsid   int
-	ev     *critpath.Event
+	slot uint8
+	lsid uint8
+	seq  uint64
+	ev   critpath.Event
 }

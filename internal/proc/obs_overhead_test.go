@@ -12,6 +12,12 @@ import (
 // newSteadyStateCore builds a core running the 1..n loop for long enough
 // that stepping it mid-run measures the steady-state hot path.
 func newSteadyStateCore(t *testing.T, trace *obs.Tracer, metrics *obs.Sampler) *Core {
+	return newSteadyStateCoreCrit(t, trace, metrics, false)
+}
+
+// newSteadyStateCoreCrit is newSteadyStateCore with critical-path tracking
+// set to track.
+func newSteadyStateCoreCrit(t *testing.T, trace *obs.Tracer, metrics *obs.Sampler, track bool) *Core {
 	t.Helper()
 	p := loopProgram(t)
 	m := mem.New()
@@ -19,10 +25,11 @@ func newSteadyStateCore(t *testing.T, trace *obs.Tracer, metrics *obs.Sampler) *
 		t.Fatal(err)
 	}
 	c, err := NewCore(Config{
-		Program: p,
-		Mem:     NewFixedLatencyMem(m, 20),
-		Trace:   trace,
-		Metrics: metrics,
+		Program:       p,
+		Mem:           NewFixedLatencyMem(m, 20),
+		Trace:         trace,
+		Metrics:       metrics,
+		TrackCritPath: track,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,13 +55,13 @@ func allocsPerCycle(c *Core) float64 {
 	return allocs / batch
 }
 
-// TestStepAllocsTracingOverhead is the zero-overhead-when-disabled guard.
-// The core has a small pre-existing per-dispatch allocation (the bodies
-// slice in scheduleDispatch), so the guard is differential: attaching a
-// tracer and sampler must add nothing to the steady-state allocation rate —
-// the ring overwrites in place and the series points halve in place. An
-// absolute bound on the untraced rate catches gross hot-path regressions
-// from any source.
+// TestStepAllocsTracingOverhead is the zero-overhead-when-disabled guard:
+// attaching a tracer and sampler must add nothing to the steady-state
+// allocation rate — the ring overwrites in place and the series points
+// halve in place. An absolute bound on the untraced rate catches hot-path
+// regressions from any source: the steady-state core allocates nothing per
+// cycle (dispatch writes its frame's payload in place, operand messages
+// come from a pool, wheel and queue buffers are reused).
 func TestStepAllocsTracingOverhead(t *testing.T) {
 	off := allocsPerCycle(newSteadyStateCore(t, nil, nil))
 
@@ -72,8 +79,23 @@ func TestStepAllocsTracingOverhead(t *testing.T) {
 	if on > off+0.01 {
 		t.Errorf("tracing adds allocations: %.4f objects/cycle traced vs %.4f untraced", on, off)
 	}
-	if off > 0.25 {
-		t.Errorf("untraced steady-state Step allocates %.4f objects/cycle, want < 0.25 (baseline ~0.13)", off)
+	if off > 0 {
+		t.Errorf("untraced steady-state Step allocates %.4f objects/cycle, want 0", off)
+	}
+}
+
+// TestStepAllocsCritPathOverhead is the same guard for critical-path
+// tracking: events are values held in tiles, messages and frame payloads,
+// so tracking must add no allocation to the steady-state Step.
+func TestStepAllocsCritPathOverhead(t *testing.T) {
+	off := allocsPerCycle(newSteadyStateCore(t, nil, nil))
+	tracked := newSteadyStateCoreCrit(t, nil, nil, true)
+	on := allocsPerCycle(tracked)
+	if on > off {
+		t.Errorf("critical-path tracking adds allocations: %.4f objects/cycle tracked vs %.4f untracked", on, off)
+	}
+	if !tracked.gt.lastCommitEv.Valid() || tracked.gt.lastCommitEv.Cycle == 0 {
+		t.Fatal("tracked core recorded no commit event; the tracked run is not being measured")
 	}
 }
 

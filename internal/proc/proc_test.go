@@ -1,8 +1,10 @@
 package proc
 
 import (
+	"errors"
 	"testing"
 
+	"trips/internal/critpath"
 	"trips/internal/isa"
 	"trips/internal/mem"
 )
@@ -91,6 +93,23 @@ func TestFigure5aExecutionTakenPath(t *testing.T) {
 	}
 }
 
+// TestCritPathOverflowIsTypedError runs a tracked core whose clock starts
+// just short of the range the critical-path totals can hold: the run must
+// end in a *critpath.OverflowError, never in wrapped totals or a panic.
+func TestCritPathOverflowIsTypedError(t *testing.T) {
+	c := newTestCore(t, figure5aProgram(t), mem.New())
+	c.cfg.MaxCycles = critpath.MaxCycle + 2_000_000
+	c.cycle = critpath.MaxCycle - 100
+	_, err := c.Run()
+	var oe *critpath.OverflowError
+	if !errors.As(err, &oe) {
+		t.Fatalf("Run past the critical-path range = %v, want *critpath.OverflowError", err)
+	}
+	if oe.Cycle <= critpath.MaxCycle {
+		t.Fatalf("overflow reported at cycle %d, inside the range", oe.Cycle)
+	}
+}
+
 func TestFigure5aExecutionNullPath(t *testing.T) {
 	// R4 == 0: the null instruction fires instead, the store is nullified,
 	// and memory is untouched — but the block still completes (the
@@ -142,7 +161,7 @@ func TestDispatchTiming(t *testing.T) {
 		c.its[k].chunks[p.Entry] = &itChunk{raw: data[k*isa.ChunkBytes : (k+1)*isa.ChunkBytes]}
 	}
 	start := c.cycle
-	c.scheduleDispatch(start, 0, 1, 0, p.Entry, hi, nil)
+	c.scheduleDispatch(start, 0, 1, 0, p.Entry, hi, critpath.Event{})
 	firstAt, lastAt := int64(-1), int64(-1)
 	rt3 := c.rts[3]
 	prevBeats := uint8(0)
@@ -163,6 +182,71 @@ func TestDispatchTiming(t *testing.T) {
 	}
 	if lastAt != 17 {
 		t.Errorf("last packet at furthest RT after %d cycles, want 17 (paper 4.1)", lastAt)
+	}
+}
+
+// TestRebindDropsStaleBeats dispatches a block into frame 0 and rebinds the
+// frame to a newer block one cycle later, as a flush and refetch would. The
+// first block's GDN beats are all still in flight and now find the frame's
+// payload rewritten; they must deliver nothing. Every station and header
+// beat of the frame then arrives exactly as after a lone dispatch of the
+// second block.
+func TestRebindDropsStaleBeats(t *testing.T) {
+	p := figure5aProgram(t)
+	blk, _ := p.Block(p.Entry)
+	data, _ := isa.EncodeBlock(blk)
+	hi, err := isa.DecodeHeaderChunk(data[:isa.ChunkBytes])
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi.Reads[31] = isa.ReadInst{Valid: true, GR: 7, RT0: isa.ToLeft(1)}
+	// arrivals steps a core for 40 cycles after an optional stale dispatch
+	// (seq 1) and a live one (seq 2) into frame 0, returning per cycle the
+	// frame's installed stations and header beats.
+	arrivals := func(stale bool) []int {
+		m := mem.New()
+		if err := p.Image(m); err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCore(Config{Program: p, Mem: NewFixedLatencyMem(m, 20)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < isa.NumITs && (k+1)*isa.ChunkBytes <= len(data); k++ {
+			c.its[k].chunks[p.Entry] = &itChunk{raw: data[k*isa.ChunkBytes : (k+1)*isa.ChunkBytes]}
+		}
+		c.gt.threads[0].active = false // keep the GT's own fetch out of frame 0
+		if stale {
+			c.scheduleDispatch(c.cycle, 0, 1, 0, p.Entry, hi, critpath.Event{})
+		}
+		c.Step()
+		c.scheduleDispatch(c.cycle, 0, 2, 0, p.Entry, hi, critpath.Event{})
+		var got []int
+		for i := 0; i < 40; i++ {
+			c.Step()
+			n := 0
+			for _, e := range c.ets {
+				for k := range e.stations[0] {
+					if e.stations[0][k].present {
+						n++
+					}
+				}
+			}
+			for _, r := range c.rts {
+				n += int(r.hdrBeats[0])
+			}
+			got = append(got, n)
+		}
+		return got
+	}
+	want, got := arrivals(false), arrivals(true)
+	if want[len(want)-1] == 0 {
+		t.Fatal("the live dispatch delivered nothing")
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cycle %d after the rebind: %d stations+beats delivered, want %d (stale beats read the new payload)", i+1, got[i], want[i])
+		}
 	}
 }
 

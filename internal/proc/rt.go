@@ -13,7 +13,7 @@ type readEntry struct {
 	done     bool
 	gr       int
 	rt0, rt1 isa.Target
-	arrEv    *critpath.Event
+	arrEv    critpath.Event
 	// waiting: the read is buffered on a pending write of an older block.
 	waiting  bool
 	waitSlot int
@@ -29,7 +29,7 @@ type writeEntry struct {
 	gr    int
 	have  bool // value arrived from the OPN
 	val   Value
-	ev    *critpath.Event
+	ev    critpath.Event
 }
 
 // rtTile is one of the four register tiles: a 32-register architectural
@@ -47,24 +47,24 @@ type rtTile struct {
 	writeQ     [NumSlots][8]writeEntry
 	slotSeq    [NumSlots]uint64
 	slotThread [NumSlots]int
-	hdrBeats   [NumSlots]uint8           // header beats received (8 = complete)
-	hdrEv      [NumSlots]*critpath.Event // last header beat arrival
+	hdrBeats   [NumSlots]uint8          // header beats received (8 = complete)
+	hdrEv      [NumSlots]critpath.Event // last header beat arrival
 
 	// Block completion tracking (GSN finish-R daisy chain).
 	finishOwn    [NumSlots]bool
 	finishEast   [NumSlots]bool
-	finishOwnEv  [NumSlots]*critpath.Event
-	finishEastEv [NumSlots]*critpath.Event
+	finishOwnEv  [NumSlots]critpath.Event
+	finishEastEv [NumSlots]critpath.Event
 	finishSent   [NumSlots]bool
 
 	// Commit tracking (GCN command + drain + GSN ack daisy chain).
 	committing [NumSlots]bool
 	drainIdx   [NumSlots]int
-	commitEv   [NumSlots]*critpath.Event
+	commitEv   [NumSlots]critpath.Event
 	ackOwn     [NumSlots]bool
 	ackEast    [NumSlots]bool
-	ackOwnEv   [NumSlots]*critpath.Event
-	ackEastEv  [NumSlots]*critpath.Event
+	ackOwnEv   [NumSlots]critpath.Event
+	ackEastEv  [NumSlots]critpath.Event
 	ackSent    [NumSlots]bool
 
 	outQ micronet.Queue[*opnMsg]
@@ -123,30 +123,27 @@ func (r *rtTile) bindSlot(slot int, seq uint64, thread int) {
 	r.slotThread[slot] = thread
 	r.missingWrites[slot] = 0
 	r.hdrBeats[slot] = 0
-	r.hdrEv[slot] = nil
+	r.hdrEv[slot] = critpath.Event{}
 	r.finishOwn[slot] = false
 	r.finishEast[slot] = false
-	r.finishOwnEv[slot] = nil
-	r.finishEastEv[slot] = nil
+	r.finishOwnEv[slot] = critpath.Event{}
+	r.finishEastEv[slot] = critpath.Event{}
 	r.finishSent[slot] = false
 	r.committing[slot] = false
 	r.drainIdx[slot] = 0
-	r.commitEv[slot] = nil
+	r.commitEv[slot] = critpath.Event{}
 	r.ackOwn[slot] = false
 	r.ackEast[slot] = false
-	r.ackOwnEv[slot] = nil
-	r.ackEastEv[slot] = nil
+	r.ackOwnEv[slot] = critpath.Event{}
+	r.ackEastEv[slot] = critpath.Event{}
 	r.ackSent[slot] = false
 }
 
 // deliverHeaderBeat installs up to one read and one write entry (beat b
 // carries queue index b of each) and marks beat progress. A block with no
-// valid entry at an index still counts the beat.
-func (r *rtTile) deliverHeaderBeat(slot int, seq uint64, beat int, rd isa.ReadInst, wr isa.WriteInst, ev *critpath.Event) {
-	r.active = true
-	if r.slotSeq[slot] != seq {
-		return
-	}
+// valid entry at an index still counts the beat. The caller
+// (Core.runEvent) has woken the tile and checked the frame.
+func (r *rtTile) deliverHeaderBeat(slot, beat int, rd isa.ReadInst, wr isa.WriteInst, ev critpath.Event) {
 	if rd.Valid {
 		r.readQ[slot][beat] = readEntry{
 			valid: true, gr: rd.GR, rt0: rd.RT0, rt1: rd.RT1,
@@ -237,7 +234,7 @@ func (r *rtTile) resolveRead(now int64, slot int, e *readEntry) {
 	e.waitIdx = bestIdx
 }
 
-func (r *rtTile) sendReadValue(slot int, seq uint64, thread int, e *readEntry, v Value, ev *critpath.Event) {
+func (r *rtTile) sendReadValue(slot int, seq uint64, thread int, e *readEntry, v Value, ev critpath.Event) {
 	for _, tgt := range []isa.Target{e.rt0, e.rt1} {
 		if !tgt.Valid() {
 			continue
@@ -258,7 +255,7 @@ func (r *rtTile) sendReadValue(slot int, seq uint64, thread int, e *readEntry, v
 }
 
 // deliverWrite receives a block output value for write-queue entry j.
-func (r *rtTile) deliverWrite(now int64, slot int, seq uint64, idx int, v Value, ev *critpath.Event) {
+func (r *rtTile) deliverWrite(now int64, slot int, seq uint64, idx int, v Value, ev critpath.Event) {
 	r.active = true
 	if r.slotSeq[slot] != seq {
 		return
@@ -304,15 +301,15 @@ func (r *rtTile) deliverWrite(now int64, slot int, seq uint64, idx int, v Value,
 
 // writesComplete reports whether every expected write for the frame has
 // arrived.
-func (r *rtTile) writesComplete(slot int) (bool, *critpath.Event) {
-	var last *critpath.Event
+func (r *rtTile) writesComplete(slot int) (bool, critpath.Event) {
+	var last critpath.Event
 	for i := range r.writeQ[slot] {
 		w := &r.writeQ[slot][i]
 		if !w.valid {
 			continue
 		}
 		if !w.have {
-			return false, nil
+			return false, critpath.Event{}
 		}
 		last = critpath.Latest(last, w.ev)
 	}
@@ -350,7 +347,7 @@ func (r *rtTile) tick(now int64) {
 		if r.finishOwn[s] && (r.id == isa.NumRTs-1 || r.finishEast[s]) {
 			if r.core.gsnRT.CanSend(r.id + 1) {
 				ev := r.core.newEvent(now, critpath.Latest(r.finishOwnEv[s], r.finishEastEv[s]), critpath.Split{}, critpath.CatComplete)
-				r.core.gsnRT.Send(r.id+1, gsnMsg{kind: gsnFinishR, slot: s, seq: r.slotSeq[s], ev: ev})
+				r.core.gsnRT.Send(r.id+1, gsnMsg{kind: gsnFinishR, slot: uint8(s), seq: r.slotSeq[s], ev: ev})
 				r.finishSent[s] = true
 			}
 		}
@@ -376,7 +373,7 @@ func (r *rtTile) tick(now int64) {
 		if r.ackOwn[s] && (r.id == isa.NumRTs-1 || r.ackEast[s]) {
 			if r.core.gsnRT.CanSend(r.id + 1) {
 				ev := r.core.newEvent(now, critpath.Latest(r.ackOwnEv[s], r.ackEastEv[s]), critpath.Split{}, critpath.CatCommit)
-				r.core.gsnRT.Send(r.id+1, gsnMsg{kind: gsnAckR, slot: s, seq: r.slotSeq[s], ev: ev})
+				r.core.gsnRT.Send(r.id+1, gsnMsg{kind: gsnAckR, slot: uint8(s), seq: r.slotSeq[s], ev: ev})
 				r.ackSent[s] = true
 				// Frame released at this tile.
 				r.unresolved -= r.slotUnresolved(s)
@@ -466,7 +463,7 @@ func (r *rtTile) pumpGSN(now int64) {
 }
 
 // onCommitCommand begins architectural commit for a frame.
-func (r *rtTile) onCommitCommand(now int64, slot int, seq uint64, ev *critpath.Event) {
+func (r *rtTile) onCommitCommand(now int64, slot int, seq uint64, ev critpath.Event) {
 	r.active = true
 	if r.slotSeq[slot] != seq {
 		return

@@ -16,8 +16,8 @@ import (
 // state — tiles, micronets, the event wheel, in-flight messages — into a
 // ckpt.Writer at a cycle boundary; LoadState restores it into a core freshly
 // constructed with an identical Config. Critical-path events are host-side
-// observability tied to pointer graphs and are not serializable: SaveState
-// refuses when TrackCritPath is enabled. Pools (opnMsg, dtFetch) restore
+// observability outside the frame format: SaveState refuses when
+// TrackCritPath is enabled. Pools (opnMsg, dtFetch) restore
 // empty — pooling is invisible to simulated state.
 
 // ---------------------------------------------------------------------------
@@ -127,8 +127,8 @@ func decHeaderInfo(r *ckpt.Reader) *isa.HeaderInfo {
 }
 
 // ---------------------------------------------------------------------------
-// Message codecs. Critical-path event fields restore as nil (SaveState
-// refuses under TrackCritPath).
+// Message codecs. Critical-path event fields restore as the zero event
+// (SaveState refuses under TrackCritPath).
 // ---------------------------------------------------------------------------
 
 func encCoord(w *ckpt.Writer, at micronet.Coord) {
@@ -189,20 +189,27 @@ func decOPNMsg(r *ckpt.Reader) *opnMsg {
 
 func encGSNMsg(w *ckpt.Writer, m gsnMsg) {
 	w.U8(uint8(m.kind))
-	w.Int(m.slot)
+	w.U8(m.slot)
 	w.U64(m.seq)
-	w.U64(m.violSeq)
-	w.U64(m.violAddr)
 }
 
 func decGSNMsg(r *ckpt.Reader) gsnMsg {
 	var m gsnMsg
 	m.kind = gsnKind(r.U8())
-	m.slot = r.Int()
+	m.slot = decSlot(r)
 	m.seq = r.U64()
-	m.violSeq = r.U64()
-	m.violAddr = r.U64()
 	return m
+}
+
+// decSlot reads a block frame index, failing the reader when it names no
+// frame.
+func decSlot(r *ckpt.Reader) uint8 {
+	s := r.U8()
+	if s >= NumSlots {
+		r.Failf("block frame %d out of range", s)
+		return 0
+	}
+	return s
 }
 
 func encGCNMsg(w *ckpt.Writer, m gcnMsg) {
@@ -218,7 +225,10 @@ func encGCNMsg(w *ckpt.Writer, m gcnMsg) {
 func decGCNMsg(r *ckpt.Reader) gcnMsg {
 	var m gcnMsg
 	m.kind = gcnKind(r.U8())
-	m.slot = r.Int()
+	if m.slot = r.Int(); m.slot < 0 || m.slot >= NumSlots {
+		r.Failf("GCN command frame %d out of range", m.slot)
+		m.slot = 0
+	}
 	m.seq = r.U64()
 	m.mask = r.U8()
 	for i := range m.seqs {
@@ -227,15 +237,52 @@ func decGCNMsg(r *ckpt.Reader) gcnMsg {
 	return m
 }
 
+// saveWaves writes the GCN wave ring's live commands, oldest first; the
+// network and the launch queue then carry only wave ids.
+func (c *Core) saveWaves(w *ckpt.Writer) {
+	w.Section("gcn-waves")
+	w.U8(uint8(c.waveHead))
+	w.U8(uint8(c.waveCount))
+	for k := 0; k < c.waveCount; k++ {
+		encGCNMsg(w, c.waves[(c.waveHead+k)%gcnRingSize])
+	}
+}
+
+func (c *Core) loadWaves(r *ckpt.Reader) {
+	r.Section("gcn-waves")
+	head, count := int(r.U8()), int(r.U8())
+	if head >= gcnRingSize || count > gcnRingSize {
+		r.Failf("GCN wave ring head %d / count %d out of range", head, count)
+		return
+	}
+	c.waveHead, c.waveCount = head, count
+	c.waves = [gcnRingSize]gcnMsg{}
+	for k := 0; k < count; k++ {
+		c.waves[(head+k)%gcnRingSize] = decGCNMsg(r)
+	}
+}
+
+func encGCNWave(w *ckpt.Writer, id gcnWave) { w.U8(uint8(id)) }
+
+// decGCNWave reads a wave id, which must name a live ring entry (loadWaves
+// runs first).
+func (c *Core) decGCNWave(r *ckpt.Reader) gcnWave {
+	id := int(r.U8())
+	if (id-c.waveHead+gcnRingSize)%gcnRingSize >= c.waveCount {
+		r.Failf("GCN wave %d is not in flight", id)
+		return 0
+	}
+	return gcnWave(id)
+}
+
 func encDSNMsg(w *ckpt.Writer, m dsnMsg) {
-	w.Int(m.slot)
+	w.U8(m.slot)
+	w.U8(m.lsid)
 	w.U64(m.seq)
-	w.Int(m.thread)
-	w.Int(m.lsid)
 }
 
 func decDSNMsg(r *ckpt.Reader) dsnMsg {
-	return dsnMsg{slot: r.Int(), seq: r.U64(), thread: r.Int(), lsid: r.Int()}
+	return dsnMsg{slot: decSlot(r), lsid: r.U8(), seq: r.U64()}
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +352,7 @@ func (c *Core) ResolveOrigin(req *MemRequest) {
 			for i := len(data) - 1; i >= 0; i-- {
 				v = v<<8 | uint64(data[i])
 			}
-			d.replyLoad(d.core.cycle+1, msg, Value{Bits: extendValue(v, msg.memOp)}, nil)
+			d.replyLoad(d.core.cycle+1, msg, Value{Bits: extendValue(v, msg.memOp)}, critpath.Event{})
 		}
 	case OriginDTUncachedStore:
 		d := c.dts[req.Origin.Tile]
@@ -367,69 +414,89 @@ func decPendingLoads(r *ckpt.Reader) []*pendingLoad {
 // Event wheel
 // ---------------------------------------------------------------------------
 
+// encSchedEvent writes one wheel event. GDN beats write the payload entry
+// they deliver in place of the index alone, so the frame carries each
+// pending instruction and header entry once.
 func (c *Core) encSchedEvent(w *ckpt.Writer, e *schedEvent) {
 	w.U8(uint8(e.kind))
-	w.Int(e.slot)
+	w.Int(int(e.slot))
 	w.U64(e.seq)
-	w.Int(e.idx)
+	w.Int(int(e.idx))
 	switch e.kind {
 	case evBodyInst:
-		w.Int(e.et.id)
-		encInst(w, &e.inst)
+		w.Int(int(e.tile))
+		encInst(w, &c.payload[e.slot].insts[e.idx])
 	case evHeaderBeat:
-		w.Int(e.rt.id)
-		encReadInst(w, e.rd)
-		encWriteInst(w, e.wr)
+		j := int(e.idx)*isa.NumRTs + int(e.tile)
+		w.Int(int(e.tile))
+		encReadInst(w, c.payload[e.slot].reads[j])
+		encWriteInst(w, c.payload[e.slot].writes[j])
 	case evStoreMask:
-		w.Int(e.dt.id)
+		w.Int(int(e.tile))
 		w.U32(e.mask)
 	case evRefill:
-		w.Int(e.it.id)
+		w.Int(int(e.tile))
 	case evSlowOPN:
 		encCoord(w, e.at)
 		encOPNMsg(w, e.msg)
 	}
 }
 
+// decSchedEvent reads one wheel event and puts a GDN beat's entry back into
+// its frame's payload. Stale beats of a flushed block precede the live
+// beats for the same position (both run the same dispatch schedule, the
+// stale one from an earlier cycle), so the wheel-order restore leaves every
+// position holding the live block's entry.
 func (c *Core) decSchedEvent(r *ckpt.Reader) (schedEvent, bool) {
 	var e schedEvent
 	e.kind = evKind(r.U8())
-	e.slot = r.Int()
+	slot := r.Int()
 	e.seq = r.U64()
-	e.idx = r.Int()
+	idx := r.Int()
+	if r.Err() != nil {
+		return e, false
+	}
+	if slot < 0 || slot >= NumSlots || idx < 0 || idx >= isa.MaxBlockInsts {
+		r.Failf("sched event slot %d / index %d out of range", slot, idx)
+		return e, false
+	}
+	e.slot, e.idx = uint8(slot), uint8(idx)
+	tile := func(n int) bool {
+		id := r.Int()
+		if id < 0 || id >= n {
+			r.Failf("sched event kind %d tile %d out of range", e.kind, id)
+			return false
+		}
+		e.tile = uint8(id)
+		return true
+	}
+	p := &c.payload[slot]
 	switch e.kind {
 	case evBodyInst:
-		id := r.Int()
-		if id < 0 || id >= len(c.ets) {
-			r.Failf("sched event ET id %d out of range", id)
+		if !tile(len(c.ets)) {
 			return e, false
 		}
-		e.et = c.ets[id]
-		e.inst = decInst(r)
+		p.insts[idx] = decInst(r)
 	case evHeaderBeat:
-		id := r.Int()
-		if id < 0 || id >= len(c.rts) {
-			r.Failf("sched event RT id %d out of range", id)
+		if idx >= dispatchBeats {
+			r.Failf("sched event header beat %d out of range", idx)
 			return e, false
 		}
-		e.rt = c.rts[id]
-		e.rd = decReadInst(r)
-		e.wr = decWriteInst(r)
+		if !tile(len(c.rts)) {
+			return e, false
+		}
+		j := idx*isa.NumRTs + int(e.tile)
+		p.reads[j] = decReadInst(r)
+		p.writes[j] = decWriteInst(r)
 	case evStoreMask:
-		id := r.Int()
-		if id < 0 || id >= len(c.dts) {
-			r.Failf("sched event DT id %d out of range", id)
+		if !tile(len(c.dts)) {
 			return e, false
 		}
-		e.dt = c.dts[id]
 		e.mask = r.U32()
 	case evRefill:
-		id := r.Int()
-		if id < 0 || id >= len(c.its) {
-			r.Failf("sched event IT id %d out of range", id)
+		if !tile(len(c.its)) {
 			return e, false
 		}
-		e.it = c.its[id]
 	case evSlowOPN:
 		e.at = decCoord(r)
 		e.msg = decOPNMsg(r)
@@ -723,19 +790,19 @@ func (t *rtTile) loadState(r *ckpt.Reader) {
 		t.slotSeq[s] = r.U64()
 		t.slotThread[s] = r.Int()
 		t.hdrBeats[s] = r.U8()
-		t.hdrEv[s] = nil
+		t.hdrEv[s] = critpath.Event{}
 		t.finishOwn[s] = r.Bool()
 		t.finishEast[s] = r.Bool()
-		t.finishOwnEv[s] = nil
-		t.finishEastEv[s] = nil
+		t.finishOwnEv[s] = critpath.Event{}
+		t.finishEastEv[s] = critpath.Event{}
 		t.finishSent[s] = r.Bool()
 		t.committing[s] = r.Bool()
 		t.drainIdx[s] = r.Int()
-		t.commitEv[s] = nil
+		t.commitEv[s] = critpath.Event{}
 		t.ackOwn[s] = r.Bool()
 		t.ackEast[s] = r.Bool()
-		t.ackOwnEv[s] = nil
-		t.ackEastEv[s] = nil
+		t.ackOwnEv[s] = critpath.Event{}
+		t.ackEastEv[s] = critpath.Event{}
 		t.ackSent[s] = r.Bool()
 		t.missingWrites[s] = r.Int()
 	}
@@ -938,7 +1005,7 @@ func (g *gtTile) loadState(r *ckpt.Reader) {
 	g.Mispredicts = r.U64()
 	g.ViolationFlushes = r.U64()
 	g.Commits = r.U64()
-	g.lastCommitEv = nil
+	g.lastCommitEv = critpath.Event{}
 }
 
 // ---------------------------------------------------------------------------
@@ -1045,15 +1112,15 @@ func (d *dtTile) loadState(r *ckpt.Reader) {
 		d.storeMask[s] = r.U32()
 		d.storeSeen[s] = r.U32()
 		d.maskKnown[s] = r.Bool()
-		d.bindEv[s] = nil
+		d.bindEv[s] = critpath.Event{}
 		d.finishSent[s] = r.Bool()
 		d.ackOwn[s] = r.Bool()
 		d.ackEast[s] = r.Bool()
-		d.ackOwnEv[s] = nil
-		d.ackEastEv[s] = nil
+		d.ackOwnEv[s] = critpath.Event{}
+		d.ackEastEv[s] = critpath.Event{}
 		d.ackSent[s] = r.Bool()
 		d.committing[s] = r.Bool()
-		d.commitEv[s] = nil
+		d.commitEv[s] = critpath.Event{}
 	}
 	d.inQ.LoadState(r, decOPNMsg)
 	d.stalled = decPendingLoads(r)
@@ -1066,7 +1133,6 @@ func (d *dtTile) loadState(r *ckpt.Reader) {
 	d.gsnOut.LoadState(r, decGSNMsg)
 	d.drainOrder.LoadState(r, func(r *ckpt.Reader) uint64 { return r.U64() })
 	d.drains = make(map[uint64][]*lsq.Entry, d.drainOrder.Len())
-	d.drainEvs = make(map[uint64]*critpath.Event)
 	for i := 0; i < d.drainOrder.Len(); i++ {
 		n := r.Int()
 		if r.Err() != nil {
@@ -1111,8 +1177,8 @@ func (d *dtTile) loadState(r *ckpt.Reader) {
 // ---------------------------------------------------------------------------
 
 // SaveState serializes the core's complete mutable state at a cycle
-// boundary. It fails when critical-path tracking is enabled: event graphs
-// are pointer webs that cannot round-trip through a byte stream.
+// boundary. It fails when critical-path tracking is enabled: critical-path
+// events are not part of the frame format.
 func (c *Core) SaveState(w *ckpt.Writer) error {
 	if c.cfg.TrackCritPath {
 		return fmt.Errorf("proc: cannot checkpoint with critical-path tracking enabled")
@@ -1122,12 +1188,13 @@ func (c *Core) SaveState(w *ckpt.Writer) error {
 	for _, m := range c.opns {
 		m.SaveState(w, encOPNMsg)
 	}
-	c.gcn.SaveState(w, encGCNMsg)
+	c.saveWaves(w)
+	c.gcn.SaveState(w, encGCNWave)
 	c.gsnRT.SaveState(w, encGSNMsg)
 	c.gsnDT.SaveState(w, encGSNMsg)
 	c.gsnIT.SaveState(w, encGSNMsg)
 	c.dsn.SaveState(w, encDSNMsg)
-	c.gcnQueue.SaveState(w, encGCNMsg)
+	c.gcnQueue.SaveState(w, encGCNWave)
 	c.saveWheel(w)
 	for s := 0; s < NumSlots; s++ {
 		w.U64(c.storeSeq[s])
@@ -1176,16 +1243,17 @@ func (c *Core) LoadState(r *ckpt.Reader) error {
 	for _, m := range c.opns {
 		m.LoadState(r, decOPNMsg)
 	}
-	c.gcn.LoadState(r, decGCNMsg)
+	c.loadWaves(r)
+	c.gcn.LoadState(r, c.decGCNWave)
 	c.gsnRT.LoadState(r, decGSNMsg)
 	c.gsnDT.LoadState(r, decGSNMsg)
 	c.gsnIT.LoadState(r, decGSNMsg)
 	c.dsn.LoadState(r, decDSNMsg)
-	c.gcnQueue.LoadState(r, decGCNMsg)
+	c.gcnQueue.LoadState(r, c.decGCNWave)
 	c.loadWheel(r)
 	for s := 0; s < NumSlots; s++ {
 		c.storeSeq[s] = r.U64()
-		c.storeEvs[s] = nil
+		c.storeEvs[s] = critpath.Event{}
 	}
 	c.CommittedBlocks = r.U64()
 	c.CommittedInsts = r.U64()

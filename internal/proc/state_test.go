@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"bytes"
 	"testing"
 
 	"trips/internal/ckpt"
@@ -232,6 +233,16 @@ func TestCheckpointCorruptPayloadFailsCleanly(t *testing.T) {
 		}
 		if err == nil {
 			t.Errorf("truncation at %d bytes not detected", cut)
+		}
+	}
+	// A GCN wave ring whose head or count is out of range must be rejected
+	// the same way, before any wave id is resolved against it.
+	at := bytes.Index(payload, []byte("gcn-waves")) + len("gcn-waves")
+	for _, bad := range [][2]byte{{gcnRingSize, 0}, {0, gcnRingSize + 1}} {
+		corrupt := append([]byte(nil), payload...)
+		corrupt[at], corrupt[at+1] = bad[0], bad[1]
+		if err := newCkptCore(t, p).LoadState(ckpt.NewReader(corrupt)); err == nil {
+			t.Errorf("GCN wave ring head/count %v accepted", bad)
 		}
 	}
 }

@@ -22,6 +22,10 @@ func rtCoord(i int) micronet.Coord  { return micronet.Coord{Row: 0, Col: 1 + i} 
 func dtCoord(i int) micronet.Coord  { return micronet.Coord{Row: 1 + i, Col: 0} }
 func etCoord(et int) micronet.Coord { return micronet.Coord{Row: 1 + et/4, Col: 1 + et%4} }
 
+// gcnLastCoord is the node farthest from the GT: every GCN wave reaches it
+// last, eight hops out.
+func gcnLastCoord() micronet.Coord { return micronet.Coord{Row: 4, Col: 4} }
+
 // Timing constants (paper Sections 3.1, 4.1). The block fetch pipeline
 // totals 13 cycles: three for prediction, one for I-TLB and tag access, one
 // for hit/miss detection, then eight pipelined dispatch commands. Dispatch

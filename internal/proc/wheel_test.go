@@ -26,8 +26,9 @@ func stepTo(c *Core, it *itTile, target int64) int64 {
 func TestScheduleWheelEdge(t *testing.T) {
 	c := &Core{}
 	it := newIT(c, 0)
+	c.its[0] = it
 	target := c.cycle + wheelSize - 1 // largest delta the ring can hold
-	c.scheduleEv(target, schedEvent{kind: evRefill, it: it, seq: 0x1000})
+	c.scheduleEv(target, schedEvent{kind: evRefill, tile: uint8(it.id), seq: 0x1000})
 	if c.schedOverflow != nil {
 		t.Fatalf("delta %d spilled to the overflow map; wheel should hold it", wheelSize-1)
 	}
@@ -42,12 +43,13 @@ func TestScheduleWheelEdge(t *testing.T) {
 func TestScheduleOverflow(t *testing.T) {
 	c := &Core{}
 	it := newIT(c, 0)
+	c.its[0] = it
 	// Delta wheelSize is the first schedule the ring cannot represent, and a
 	// far-out schedule exercises the same path; both must land in the map.
 	near := c.cycle + wheelSize
 	far := c.cycle + 3*wheelSize + 7
-	c.scheduleEv(near, schedEvent{kind: evRefill, it: it, seq: 0x2000})
-	c.scheduleEv(far, schedEvent{kind: evRefill, it: it, seq: 0x3000})
+	c.scheduleEv(near, schedEvent{kind: evRefill, tile: uint8(it.id), seq: 0x2000})
+	c.scheduleEv(far, schedEvent{kind: evRefill, tile: uint8(it.id), seq: 0x3000})
 	if len(c.schedOverflow) != 2 {
 		t.Fatalf("overflow map holds %d cycles, want 2", len(c.schedOverflow))
 	}
@@ -68,10 +70,11 @@ func TestScheduleOverflow(t *testing.T) {
 func TestSchedulePastClamps(t *testing.T) {
 	c := &Core{cycle: 100}
 	it := newIT(c, 0)
+	c.its[0] = it
 	// Scheduling at or before the current cycle must clamp to cycle+1, never
 	// fire immediately or be lost.
-	c.scheduleEv(c.cycle, schedEvent{kind: evRefill, it: it, seq: 0x4000})
-	c.scheduleEv(c.cycle-50, schedEvent{kind: evRefill, it: it, seq: 0x5000})
+	c.scheduleEv(c.cycle, schedEvent{kind: evRefill, tile: uint8(it.id), seq: 0x4000})
+	c.scheduleEv(c.cycle-50, schedEvent{kind: evRefill, tile: uint8(it.id), seq: 0x5000})
 	if it.Refills != 0 {
 		t.Fatal("clamped event fired synchronously at schedule time")
 	}
