@@ -60,8 +60,8 @@ func runCycles(b *testing.B, name string, opt eval.TRIPSOptions, hand bool) floa
 }
 
 // runCyclesCov additionally returns the tile-skip coverage — the fraction of
-// per-tile ticks the event-driven doze overlay elided (0 under
-// -noeventdriven or NoFastPath).
+// per-tile ticks the idle gate and the event-driven doze overlay elided (0
+// under NoFastPath).
 func runCyclesCov(b *testing.B, name string, opt eval.TRIPSOptions, hand bool) (float64, float64) {
 	b.Helper()
 	w, err := workloads.ByName(name)
@@ -271,29 +271,29 @@ func BenchmarkAlphaBaseline(b *testing.B) {
 	}
 }
 
+// stepperVariants are the two rows every chip benchmark measures: the
+// production stepper and the NoFastPath reference stepper. Simulated cycle
+// counts must be identical; the host-time gap is what the fast paths buy.
+var stepperVariants = []struct {
+	name       string
+	noFastPath bool
+}{
+	{"default", false},
+	{"nofastpath", true},
+}
+
 // BenchmarkChipDualCore runs a workload on both processor cores
 // simultaneously through the partitioned NUCA memory system — the full
-// Figure 2 chip. The default variant uses the two-phase parallel step and
-// clock-warping; serial-nowarp is the one-thread, tick-every-cycle
-// baseline. Simulated cycle counts must be identical across variants.
+// Figure 2 chip — under the production and the reference stepper.
 func BenchmarkChipDualCore(b *testing.B) {
-	for _, cfg := range []struct {
-		name               string
-		noWarp, noParallel bool
-		stepping           chip.Stepping
-	}{
-		{"parallel-warp", false, false, chip.StepLag},
-		{"serial-nowarp", true, true, chip.StepLag},
-		{"seq-warp", false, false, chip.StepSeq},
-		{"seq-nowarp", true, true, chip.StepSeq},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportMetric(float64(runDualCoreChip(b, cfg.noWarp, cfg.noParallel, cfg.stepping)), "cycles")
+	for _, v := range stepperVariants {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportMetric(float64(runDualCoreChip(b, v.noFastPath)), "cycles")
 		})
 	}
 }
 
-func runDualCoreChip(b *testing.B, noWarp, noParallel bool, stepping chip.Stepping) int64 {
+func runDualCoreChip(b *testing.B, noFastPath bool) int64 {
 	b.Helper()
 	w, err := workloads.ByName("vadd")
 	if err != nil {
@@ -317,9 +317,7 @@ func runDualCoreChip(b *testing.B, noWarp, noParallel bool, stepping chip.Steppi
 			Programs:   [2]*proc.Program{prog0, prog1},
 			Backing:    backing,
 			Partition:  true,
-			NoWarp:     noWarp,
-			NoParallel: noParallel,
-			Stepping:   stepping,
+			NoFastPath: noFastPath,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -345,11 +343,11 @@ func runDualCoreChip(b *testing.B, noWarp, noParallel bool, stepping chip.Steppi
 // BenchmarkChipDMAStream measures the drain-deadline warping win on a
 // DMA/idle-heavy phase: a short program retires on core 0, then a DMA
 // controller streams 64KB line-by-line through the OCN (port -> MT -> SDC
-// round trips) while both cores sit idle. With warping, the chip clock
-// jumps across every solo-transit leg and SDRAM access; the nowarp variant
-// ticks all of them. Simulated cycles must be identical; the host-time gap
-// is the win. The warp-coverage metric reports the fraction of simulated
-// cycles skipped.
+// round trips) while both cores sit idle. The production stepper warps the
+// clock across every solo-transit leg and SDRAM access; the nofastpath
+// reference ticks all of them. Simulated cycles must be identical; the
+// host-time gap is the win. The warp-coverage metric reports the fraction
+// of simulated cycles skipped.
 func BenchmarkChipDMAStream(b *testing.B) {
 	const bytes = 64 << 10
 	mkBlocks := func(base uint64, iters int) *proc.Program {
@@ -376,18 +374,7 @@ func BenchmarkChipDMAStream(b *testing.B) {
 		return p
 	}
 	var rows []eval.ChipBenchRow
-	for _, cfg := range []struct {
-		name     string
-		noWarp   bool
-		noDoze   bool
-		stepping chip.Stepping
-	}{
-		{"warp", false, false, chip.StepLag},
-		{"nowarp", true, false, chip.StepLag},
-		{"nowarp-nodoze", true, true, chip.StepLag},
-		{"seq-warp", false, false, chip.StepSeq},
-		{"seq-nowarp", true, false, chip.StepSeq},
-	} {
+	for _, cfg := range stepperVariants {
 		b.Run(cfg.name, func(b *testing.B) {
 			var cyc, warped int64
 			var cov float64
@@ -398,12 +385,10 @@ func BenchmarkChipDMAStream(b *testing.B) {
 					backing.Write(0x700000+uint64(j)*8, 8, uint64(j+1))
 				}
 				c, err := chip.New(chip.Config{
-					Programs:      [2]*proc.Program{mkBlocks(0x100000, 2), nil},
-					Backing:       backing,
-					MaxCycles:     50_000_000,
-					NoWarp:        cfg.noWarp,
-					NoEventDriven: cfg.noDoze,
-					Stepping:      cfg.stepping,
+					Programs:   [2]*proc.Program{mkBlocks(0x100000, 2), nil},
+					Backing:    backing,
+					MaxCycles:  50_000_000,
+					NoFastPath: cfg.noFastPath,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -432,50 +417,35 @@ func BenchmarkChipDMAStream(b *testing.B) {
 		})
 	}
 	if path := os.Getenv("BENCH_CHIP_JSON"); path != "" {
-		// In sweep mode (scripts/bench.sh sweep) the run was pinned to a
-		// specific GOMAXPROCS; record it as a scaling-series point instead of
-		// overwriting the main rows measured at default parallelism.
-		if os.Getenv("BENCH_CHIP_SWEEP") != "" {
-			if err := eval.MergeChipSweepJSON(path, runtime.GOMAXPROCS(0), rows); err != nil {
-				b.Fatal(err)
-			}
-		} else if err := eval.MergeChipBenchJSON(path, rows); err != nil {
+		if err := eval.MergeChipBenchJSON(path, rows); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkNUCAvsPerfectL2 contrasts the paper's perfect-L2 normalization
-// with the full secondary memory system behind one core. The nowarp
-// variants re-run each configuration with clock-warping disabled — the
-// simulated cycle counts must match, and the host-time gap is the win from
-// fast-forwarding SDRAM-latency stalls. vadd keeps eight blocks of
-// speculative work in flight, so it rarely quiesces; mcf's pointer chase
-// serializes its misses and spends most of its cycles in warpable waits.
+// with the full secondary memory system behind one core. vadd keeps eight
+// blocks of speculative work in flight, so it rarely quiesces; mcf's
+// pointer chase serializes its misses and spends most of its cycles in
+// waits the production stepper warps over. The mcf-nuca-nofastpath row
+// re-runs mcf on the reference stepper — the simulated cycle counts must
+// match, and the host-time gap is the win from the fast paths.
 func BenchmarkNUCAvsPerfectL2(b *testing.B) {
 	var rows []eval.ChipBenchRow
 	for _, cfg := range []struct {
-		name     string
-		workload string
-		nuca     bool
-		nowarp   bool
-		seq      bool
-		nodoze   bool
+		name       string
+		workload   string
+		nuca       bool
+		noFastPath bool
 	}{
-		{"perfect-l2", "vadd", false, false, false, false},
-		{"perfect-l2-nowarp", "vadd", false, true, false, false},
-		{"nuca", "vadd", true, false, false, false},
-		{"nuca-nowarp", "vadd", true, true, false, false},
-		{"nuca-nodoze", "vadd", true, false, false, true},
-		{"nuca-seq", "vadd", true, false, true, false},
-		{"mcf-nuca", "181.mcf", true, false, false, false},
-		{"mcf-nuca-nowarp", "181.mcf", true, true, false, false},
-		{"mcf-nuca-nodoze", "181.mcf", true, false, false, true},
-		{"mcf-nuca-seq", "181.mcf", true, false, true, false},
+		{"perfect-l2", "vadd", false, false},
+		{"nuca", "vadd", true, false},
+		{"mcf-nuca", "181.mcf", true, false},
+		{"mcf-nuca-nofastpath", "181.mcf", true, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			start := time.Now()
-			cyc, cov := runCyclesCov(b, cfg.workload, eval.TRIPSOptions{Mode: tcc.Hand, UseNUCA: cfg.nuca, NoWarp: cfg.nowarp, SeqStep: cfg.seq, NoEventDriven: cfg.nodoze}, true)
+			cyc, cov := runCyclesCov(b, cfg.workload, eval.TRIPSOptions{Mode: tcc.Hand, UseNUCA: cfg.nuca, NoFastPath: cfg.noFastPath}, true)
 			if cfg.nuca {
 				rows = append(rows, eval.ChipBenchRow{
 					Bench: "NUCAvsPerfectL2", Variant: cfg.name,
@@ -488,11 +458,7 @@ func BenchmarkNUCAvsPerfectL2(b *testing.B) {
 		})
 	}
 	if path := os.Getenv("BENCH_CHIP_JSON"); path != "" {
-		if os.Getenv("BENCH_CHIP_SWEEP") != "" {
-			if err := eval.MergeChipSweepJSON(path, runtime.GOMAXPROCS(0), rows); err != nil {
-				b.Fatal(err)
-			}
-		} else if err := eval.MergeChipBenchJSON(path, rows); err != nil {
+		if err := eval.MergeChipBenchJSON(path, rows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,8 +7,8 @@
 // Table 3 mode; the per-variant cycle column in chip mode) are
 // deterministic: any drift between the two files — including a row appearing
 // or disappearing — is a regression and exits nonzero. Host throughput (wall
-// time, ns per op, speedup ratios) varies by machine and load, so those
-// deltas are reported but never fail the run.
+// time, ns per op) varies by machine and load, so those deltas are reported
+// but never fail the run.
 package main
 
 import (
@@ -76,7 +76,8 @@ func main() {
 }
 
 // compareChip diffs two ChipBenchReport files: cycle drift per
-// (bench, variant) cell fails, host ns/op and speedups are informational.
+// (bench, variant) cell fails, host ns/op and tile-skip coverage are
+// informational.
 func compareChip(basePath, freshPath string) {
 	var base, fresh eval.ChipBenchReport
 	if err := load(basePath, &base); err != nil {
@@ -125,42 +126,7 @@ func compareChip(basePath, freshPath string) {
 		fmt.Printf("simulated cycles: %d chip-bench cells identical\n", len(names))
 	}
 
-	// Pairing audit: every cell is half of a seq/lag A/B pair, so an unpaired
-	// row means a partial bench run (interrupted filter, crashed variant). A
-	// partial fresh run must not pass as clean, and a partial baseline must
-	// not be silently accepted as the thing future runs are compared against.
-	pairErrs := 0
-	union := append(append([]eval.ChipBenchRow{}, base.Rows...), fresh.Rows...)
-	files := []struct {
-		path string
-		rep  *eval.ChipBenchReport
-	}{{basePath, &base}, {freshPath, &fresh}}
-	for _, f := range files {
-		for _, m := range eval.MissingSeqPairings(f.rep.Rows, union) {
-			fmt.Printf("PAIR  %s: %s (partial bench run?)\n", f.path, m)
-			pairErrs++
-		}
-	}
-
-	// Sweep points re-measure the same cells at other GOMAXPROCS settings;
-	// the stepper is bit-identical across host parallelism, so a sweep cycle
-	// count disagreeing with the main row of the same file is drift.
-	for _, f := range files {
-		rows := make(map[string]eval.ChipBenchRow, len(f.rep.Rows))
-		for _, r := range f.rep.Rows {
-			rows[key(r)] = r
-		}
-		for _, p := range f.rep.Sweep {
-			r, ok := rows[p.Bench+"/"+p.Variant]
-			if ok && r.Cycles != p.Cycles {
-				fmt.Printf("DRIFT %s: sweep %s/%s@%dproc cycles %d vs main row %d\n",
-					f.path, p.Bench, p.Variant, p.GOMAXPROCS, p.Cycles, r.Cycles)
-				drift++
-			}
-		}
-	}
-
-	// Host time and stepping speedups: informational only.
+	// Host time: informational only.
 	for _, n := range names {
 		b, inBase := baseRows[n]
 		f, inFresh := freshRows[n]
@@ -189,31 +155,9 @@ func compareChip(basePath, freshPath string) {
 		}
 		fmt.Println(line)
 	}
-	var speedKeys []string
-	for n := range fresh.Speedups {
-		speedKeys = append(speedKeys, n)
-	}
-	sort.Strings(speedKeys)
-	for _, n := range speedKeys {
-		line := fmt.Sprintf("speedup %-30s %.2fx", n, fresh.Speedups[n])
-		if b, ok := base.Speedups[n]; ok {
-			line += fmt.Sprintf(" (baseline %.2fx)", b)
-		}
-		fmt.Println(line)
-	}
-	for _, p := range fresh.Sweep {
-		if p.Speedup > 0 {
-			fmt.Printf("sweep   %-30s %d procs %.2fx\n", p.Bench+"/"+p.Variant, p.GOMAXPROCS, p.Speedup)
-		}
-	}
 
-	if pairErrs > 0 {
-		fmt.Fprintf(os.Stderr, "bench-compare: %d unpaired chip-bench row(s) — partial run is not a valid baseline\n", pairErrs)
-	}
 	if drift > 0 {
 		fmt.Fprintf(os.Stderr, "bench-compare: %d chip-bench cell(s) drifted in simulated cycles\n", drift)
-	}
-	if drift > 0 || pairErrs > 0 {
 		os.Exit(1)
 	}
 }

@@ -18,6 +18,9 @@
 // hand-optimized) and the Alpha-class baseline; restrict it with
 // -bench name. Rows fan out across a worker pool (-workers, default
 // GOMAXPROCS); simulated results are identical at any worker count.
+// -nofastpath runs Table 3 on the reference stepper (every tile ticked
+// every cycle, no doze, no warp, sequential core/memory interleave under
+// -nuca); its rows must match the default production stepper's exactly.
 package main
 
 import (
@@ -56,26 +59,14 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker pool size for -table3/-ablate (0 = GOMAXPROCS)")
 		jsonOut    = flag.String("json", "", "write the -table3 report (rows + host throughput) to this file")
 		hostStats  = flag.Bool("host", false, "print host throughput after -table3 (nondeterministic)")
-		noFast     = flag.Bool("nofastpath", false, "run -table3 without quiescence-aware stepping (results must not change)")
-		noWarp     = flag.Bool("nowarp", false, "run -table3 without clock-warping (results must not change)")
-		noEvent    = flag.Bool("noeventdriven", false, "run -table3 without the per-tile event-driven doze overlay (results must not change)")
+		noFast     = flag.Bool("nofastpath", false, "run -table3 on the reference stepper (results must not change)")
 		useNUCA    = flag.Bool("nuca", false, "run -table3 TRIPS rows against the full secondary memory system instead of the perfect L2")
-		seqStep    = flag.Bool("seq", false, "force sequential core/memory interleave for -nuca runs instead of bounded-lag stepping (results must not change)")
-		parStride  = flag.Int64("par-stride", 0, "cap bounded-lag stride length in cycles (0 = auto horizon; results must not change)")
 		flightDir  = flag.String("flight-dir", "", "arm the flight recorder on -table3 compiled-TRIPS runs; crash/limit dump bundles land in this directory (inspect with trips-debug)")
 		debugAddr  = flag.String("debug-addr", "", "serve expvar, pprof and /metrics on this address (e.g. localhost:6060)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	if *parStride < 0 {
-		fmt.Fprintf(os.Stderr, "trips-eval: -par-stride must be non-negative, got %d\n", *parStride)
-		os.Exit(2)
-	}
-	if *seqStep && !*useNUCA {
-		fmt.Fprintln(os.Stderr, "trips-eval: -seq selects the core/memory interleave for -nuca runs; pass -nuca as well")
-		os.Exit(2)
-	}
 	if !(*t1 || *t2 || *t3 || *f1 || *f2 || *f3 || *f4 || *f5b || *f6 || *ablate || *all) {
 		flag.Usage()
 		os.Exit(2)
@@ -154,7 +145,7 @@ func main() {
 		fig5b()
 	}
 	if *t3 {
-		table3(*bench, *workers, *jsonOut, *hostStats, eval.Stepping{NoFastPath: *noFast, NoWarp: *noWarp, NoEventDriven: *noEvent, UseNUCA: *useNUCA, SeqStep: *seqStep, ParStride: *parStride, FlightDir: *flightDir})
+		table3(*bench, *workers, *jsonOut, *hostStats, eval.Stepping{NoFastPath: *noFast, UseNUCA: *useNUCA, FlightDir: *flightDir})
 		if *flightDir != "" {
 			fmt.Fprintf(os.Stderr, "trips-eval: flight recorder was armed; dump bundles (if any) are under %s\n", *flightDir)
 		}

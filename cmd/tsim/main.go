@@ -7,12 +7,15 @@
 //	tsim -bench vadd [-mode hand|tcc] [-placement naive|greedy]
 //	     [-opn 1|2] [-conservative] [-nuca] [-alpha] [-golden]
 //	     [-trace out.json] [-debug-addr :6060]
-//	     [-seq] [-par-stride n]
 //	     [-checkpoint-at n -checkpoint-out f] [-restore f]
 //	     [-sample-interval n [-sample-warmup n] [-sample-n k]]
 //	     [-flight [-flight-dir d] [-dump-on trig] [-flight-depth k] [-flight-interval n]]
 //	     [-max-cycles n] [-lag-deadline-pad n] [-lag-horizon-override n]
-//	     [-host] [-nofastpath] [-nowarp] [-noeventdriven] [-cpuprofile f] [-memprofile f]
+//	     [-host] [-nofastpath] [-cpuprofile f] [-memprofile f]
+//
+// -nofastpath runs the reference stepper (every tile ticked every cycle, no
+// doze, no warp, and the sequential core/memory interleave under -nuca);
+// its output must match the default production stepper's exactly.
 //
 // -checkpoint-at/-checkpoint-out frame the complete machine state at the
 // first block-commit boundary after the given cycle; -restore resumes such a
@@ -57,11 +60,7 @@ func main() {
 		goldenRun  = flag.Bool("golden", false, "also run the golden interpreter")
 		stats      = flag.Bool("stats", false, "print per-tile statistics")
 		host       = flag.Bool("host", false, "print host throughput (sim-cycles/sec; nondeterministic)")
-		noFast     = flag.Bool("nofastpath", false, "disable quiescence-aware stepping (results must not change)")
-		noWarp     = flag.Bool("nowarp", false, "disable clock-warping over quiescent stretches (results must not change)")
-		noEvent    = flag.Bool("noeventdriven", false, "disable the per-tile event-driven doze overlay (results must not change)")
-		seqStep    = flag.Bool("seq", false, "force sequential core/memory interleave for -nuca runs instead of bounded-lag stepping (results must not change)")
-		parStride  = flag.Int64("par-stride", 0, "cap bounded-lag stride length in cycles (0 = auto horizon; results must not change)")
+		noFast     = flag.Bool("nofastpath", false, "run the reference stepper: every tile every cycle, no doze, no warp, sequential memory interleave (results must not change)")
 		ckptAt     = flag.Int64("checkpoint-at", 0, "checkpoint at the first block commit after this cycle (requires -checkpoint-out)")
 		ckptOut    = flag.String("checkpoint-out", "", "write the checkpoint to this file (requires -checkpoint-at)")
 		restore    = flag.String("restore", "", "resume from this checkpoint file instead of starting at the entry block")
@@ -83,14 +82,6 @@ func main() {
 
 	if *opn != 1 && *opn != 2 {
 		fmt.Fprintf(os.Stderr, "tsim: -opn must be 1 or 2, got %d\n", *opn)
-		os.Exit(2)
-	}
-	if *parStride < 0 {
-		fmt.Fprintf(os.Stderr, "tsim: -par-stride must be non-negative, got %d\n", *parStride)
-		os.Exit(2)
-	}
-	if *seqStep && !*useNUCA {
-		fmt.Fprintln(os.Stderr, "tsim: -seq selects the core/memory interleave for -nuca runs; pass -nuca as well")
 		os.Exit(2)
 	}
 	if *ckptAt < 0 {
@@ -171,7 +162,7 @@ func main() {
 	// checkpoint, restore, sampling and the flight recorder all run without
 	// the analyzer.
 	crit := *ckptOut == "" && *restore == "" && *sampleInt == 0 && !*flightOn
-	opt := eval.TRIPSOptions{TrackCritPath: crit, OPNChannels: *opn, ConservativeLoads: *conserv, UseNUCA: *useNUCA, NoFastPath: *noFast, NoWarp: *noWarp, NoEventDriven: *noEvent, SeqStep: *seqStep, ParStride: *parStride, MaxCycles: *maxCycles, LagHorizonOverride: *lagHorizon, LagDeadlinePad: *lagPad}
+	opt := eval.TRIPSOptions{TrackCritPath: crit, OPNChannels: *opn, ConservativeLoads: *conserv, UseNUCA: *useNUCA, NoFastPath: *noFast, MaxCycles: *maxCycles, LagHorizonOverride: *lagHorizon, LagDeadlinePad: *lagPad}
 	var tracer *obs.Tracer
 	var sampler *obs.Sampler
 	if *traceOut != "" {

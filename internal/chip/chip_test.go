@@ -1,7 +1,6 @@
 package chip
 
 import (
-	"runtime"
 	"testing"
 
 	"trips/internal/eval"
@@ -149,55 +148,6 @@ func TestDMATransfer(t *testing.T) {
 	}
 	if c.DMA[0].Moved != 256 {
 		t.Errorf("dma moved %d bytes", c.DMA[0].Moved)
-	}
-}
-
-// TestChipStepModesBitIdentical runs the same dual-core chip under all four
-// stepping modes — {parallel, sequential} x {warp, no-warp} — and requires
-// identical chip cycle counts and core results. GOMAXPROCS is raised to 2 so
-// the parallel two-phase step actually takes the worker-goroutine path even
-// on a single-CPU host (Step falls back to sequential at GOMAXPROCS 1). The
-// core programs have different lengths so one core retires first, covering
-// the worker teardown and the parallel->sequential transition mid-run.
-func TestChipStepModesBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-	run := func(noWarp, noParallel bool) (int64, proc.Result, proc.Result) {
-		p0 := countProgram(t, 0x100000, 40)
-		p1 := countProgram(t, 0x200000, 15)
-		c, err := New(Config{
-			Programs:   [2]*proc.Program{p0, p1},
-			MaxCycles:  5_000_000,
-			NoWarp:     noWarp,
-			NoParallel: noParallel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return c.Cycle(), c.Cores[0].Result(), c.Cores[1].Result()
-	}
-	refCyc, ref0, ref1 := run(true, true) // sequential, no warp: the baseline
-	for _, m := range []struct {
-		name               string
-		noWarp, noParallel bool
-	}{
-		{"parallel+warp", false, false},
-		{"parallel+nowarp", true, false},
-		{"sequential+warp", false, true},
-	} {
-		cyc, r0, r1 := run(m.noWarp, m.noParallel)
-		if cyc != refCyc {
-			t.Errorf("%s: chip cycles %d, want %d", m.name, cyc, refCyc)
-		}
-		if r0 != ref0 {
-			t.Errorf("%s: core 0 diverged:\n  got:  %+v\n  want: %+v", m.name, r0, ref0)
-		}
-		if r1 != ref1 {
-			t.Errorf("%s: core 1 diverged:\n  got:  %+v\n  want: %+v", m.name, r1, ref1)
-		}
 	}
 }
 

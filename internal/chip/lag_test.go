@@ -1,7 +1,6 @@
 package chip
 
 import (
-	"runtime"
 	"testing"
 
 	"trips/internal/eval"
@@ -152,12 +151,7 @@ type chipOutcome struct {
 	moved  uint64
 }
 
-func runScenario(t *testing.T, scenario string, mut func(*Config)) chipOutcome {
-	t.Helper()
-	c := chipScenario(t, scenario, mut)
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
+func outcome(c *Chip) chipOutcome {
 	return chipOutcome{
 		cycles: c.Cycle(),
 		r0:     c.Cores[0].Result(),
@@ -166,100 +160,105 @@ func runScenario(t *testing.T, scenario string, mut func(*Config)) chipOutcome {
 	}
 }
 
-// TestChipSteppingThreeWayBitIdentical is the tentpole's ground-truth sweep:
-// the globally synchronous stepper, the bounded-lag coordinator without
-// warps, and the bounded-lag coordinator with per-core warping must produce
-// identical simulated outcomes on every traffic shape — chip cycles, full
-// core snapshots, and DMA byte counts. The nodoze legs repeat the sweep's
-// endpoints with the per-tile event-driven doze overlay disabled, making the
-// fine-grained tile clocks a fourth compared discipline.
-func TestChipSteppingThreeWayBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
+// oracle selects the NoFastPath reference stepper every chip parity test
+// compares the production stepper (the zero Config) against.
+func oracle(cfg *Config) { cfg.NoFastPath = true }
+
+func production(*Config) {}
+
+func runScenario(t *testing.T, scenario string, mut func(*Config)) *Chip {
+	t.Helper()
+	c := chipScenario(t, scenario, mut)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestChipStepModesBitIdentical is the chip's ground-truth sweep: the
+// production stepper (bounded-lag coordinator, per-core warps, per-tile
+// doze) must reproduce the NoFastPath reference stepper on every traffic
+// shape — chip cycles, full core snapshots, and DMA byte counts. It also
+// pins the tile stepping telemetry: ticks+skips == NumTiles x stepped
+// cycles under both steppers, the oracle never skips a tile, and the
+// production stepper's idle gating and doze actually engage.
+func TestChipStepModesBitIdentical(t *testing.T) {
 	for _, scenario := range []string{"count", "dma", "chase", "vadd"} {
 		t.Run(scenario, func(t *testing.T) {
-			ref := runScenario(t, scenario, func(cfg *Config) {
-				cfg.Stepping = StepSeq
-				cfg.NoWarp = true
-				cfg.NoParallel = true
-			})
+			ref := runScenario(t, scenario, oracle)
+			got := runScenario(t, scenario, production)
+			if outcome(got) != outcome(ref) {
+				t.Errorf("production stepper diverged:\n  got:  %+v\n  want: %+v", outcome(got), outcome(ref))
+			}
 			for _, m := range []struct {
 				name string
-				mut  func(*Config)
-			}{
-				{"seq+warp", func(cfg *Config) { cfg.Stepping = StepSeq }},
-				{"seq+nodoze", func(cfg *Config) {
-					cfg.Stepping = StepSeq
-					cfg.NoWarp = true
-					cfg.NoParallel = true
-					cfg.NoEventDriven = true
-				}},
-				{"lag+nowarp", func(cfg *Config) { cfg.NoWarp = true }},
-				{"lag+warp", func(cfg *Config) {}},
-				{"lag+warp+serial", func(cfg *Config) { cfg.NoParallel = true }},
-				{"lag+warp+nodoze", func(cfg *Config) { cfg.NoEventDriven = true }},
-			} {
-				got := runScenario(t, scenario, m.mut)
-				if got != ref {
-					t.Errorf("%s diverged:\n  got:  %+v\n  want: %+v", m.name, got, ref)
+				c    *Chip
+			}{{"oracle", ref}, {"production", got}} {
+				ticks, skips, stepped := m.c.TileActivity()
+				if want := uint64(proc.NumTiles) * uint64(stepped); ticks+skips != want {
+					t.Errorf("%s: ticks+skips = %d, want %d (%d tiles x %d stepped cycles)",
+						m.name, ticks+skips, want, proc.NumTiles, stepped)
 				}
+			}
+			if _, skips, _ := ref.TileActivity(); skips != 0 {
+				t.Errorf("oracle skipped %d tile ticks; it must tick every tile every cycle", skips)
+			}
+			if _, skips, _ := got.TileActivity(); skips == 0 {
+				t.Error("production stepper skipped no tile ticks — idle gating and doze never engaged")
 			}
 		})
 	}
 }
 
-// TestChipLagGOMAXPROCSParity proves host worker count never changes
-// simulated results: the same bounded-lag chip run at GOMAXPROCS 1 (which
-// collapses to serial striding), 2, and 4 must be bit-identical.
-func TestChipLagGOMAXPROCSParity(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	ref := runScenario(t, "vadd", func(cfg *Config) {})
-	for _, procs := range []int{2, 4} {
-		runtime.GOMAXPROCS(procs)
-		if got := runScenario(t, "vadd", func(cfg *Config) {}); got != ref {
-			t.Errorf("GOMAXPROCS=%d diverged:\n  got:  %+v\n  want: %+v", procs, got, ref)
-		}
+// TestChipSteppingThreeWayBitIdentical adds the third way to drive a chip
+// to the oracle-vs-production sweep: a production-configured chip stepped
+// by a plain `for !Done() { Step() }` loop, as callers that drive the chip
+// cycle by cycle do. That loop keeps the per-tile doze but has no bounded
+// lag and no warp, so it isolates the tile clock domain; it must reproduce
+// both the oracle and the production Run on every traffic shape.
+func TestChipSteppingThreeWayBitIdentical(t *testing.T) {
+	for _, scenario := range []string{"count", "dma", "chase", "vadd"} {
+		t.Run(scenario, func(t *testing.T) {
+			ref := outcome(runScenario(t, scenario, oracle))
+			stepped := chipScenario(t, scenario, production)
+			for !stepped.Done() {
+				stepped.Step()
+			}
+			if got := outcome(stepped); got != ref {
+				t.Errorf("Step loop diverged from the oracle:\n  got:  %+v\n  want: %+v", got, ref)
+			}
+			if got := outcome(runScenario(t, scenario, production)); got != ref {
+				t.Errorf("production Run diverged from the oracle:\n  got:  %+v\n  want: %+v", got, ref)
+			}
+			if stepped.Warps != 0 {
+				t.Errorf("Step loop recorded %d warps; only Run may warp", stepped.Warps)
+			}
+			if _, skips, _ := stepped.TileActivity(); skips == 0 {
+				t.Error("Step loop dozed no tile — the tile clock domain is off outside Run")
+			}
+		})
 	}
 }
 
 // TestChipLagRollbackInjectionBitIdentical disables the provable horizon via
 // the fault-injection override, letting quiescent cores warp past their
 // visibility bound so early-arriving responses trigger real rollbacks — and
-// requires the rolled-back runs to remain bit-identical to the sequential
+// requires the rolled-back runs to remain bit-identical to the reference
 // stepper. The chase workload is the one shape where this is reachable:
 // cores block on every hop, so the overshoot past a response's effect cycle
 // is pure warp, which the coordinator can cheaply rewind. With the derived
 // horizon rollbacks are structurally impossible, which the zero-rollback
 // assertion on the normal run cross-checks.
 func TestChipLagRollbackInjectionBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-	ref := runScenario(t, "chase", func(cfg *Config) {
-		cfg.Stepping = StepSeq
-		cfg.NoWarp = true
-		cfg.NoParallel = true
-	})
-	normal := chipScenario(t, "chase", func(cfg *Config) {})
-	if err := normal.Run(); err != nil {
-		t.Fatal(err)
-	}
+	ref := outcome(runScenario(t, "chase", oracle))
+	normal := runScenario(t, "chase", production)
 	if n := normal.Lag.TotalRollbacks(); n != 0 {
 		t.Fatalf("derived horizon produced %d rollbacks — the bound no longer proves safety", n)
 	}
-	faulted := chipScenario(t, "chase", func(cfg *Config) {
+	faulted := runScenario(t, "chase", func(cfg *Config) {
 		cfg.LagHorizonOverride = 64
 	})
-	if err := faulted.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := chipOutcome{
-		cycles: faulted.Cycle(),
-		r0:     faulted.Cores[0].Result(),
-		r1:     faulted.Cores[1].Result(),
-		moved:  faulted.DMA[0].Moved + faulted.DMA[1].Moved,
-	}
-	if got != ref {
+	if got := outcome(faulted); got != ref {
 		t.Errorf("faulted run diverged:\n  got:  %+v\n  want: %+v", got, ref)
 	}
 	if faulted.Lag.TotalRollbacks() == 0 {
@@ -271,30 +270,15 @@ func TestChipLagRollbackInjectionBitIdentical(t *testing.T) {
 // deadlines themselves: LagDeadlinePad stretches every computed deadline
 // past the provable bound, so a core blocked on a pointer-chase load warps
 // beyond the true effect cycle and the effect gate must roll it back. The
-// run must stay bit-identical to the sequential stepper — rollback recovery,
+// run must stay bit-identical to the reference stepper — rollback recovery,
 // not just rollback detection — and the unpadded run must keep rollbacks at
 // zero, pinning that the deadlines themselves never overshoot.
 func TestChipLagDeadlinePadRollbackBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-	ref := runScenario(t, "chase", func(cfg *Config) {
-		cfg.Stepping = StepSeq
-		cfg.NoWarp = true
-		cfg.NoParallel = true
-	})
-	faulted := chipScenario(t, "chase", func(cfg *Config) {
+	ref := outcome(runScenario(t, "chase", oracle))
+	faulted := runScenario(t, "chase", func(cfg *Config) {
 		cfg.LagDeadlinePad = 64
 	})
-	if err := faulted.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := chipOutcome{
-		cycles: faulted.Cycle(),
-		r0:     faulted.Cores[0].Result(),
-		r1:     faulted.Cores[1].Result(),
-		moved:  faulted.DMA[0].Moved + faulted.DMA[1].Moved,
-	}
-	if got != ref {
+	if got := outcome(faulted); got != ref {
 		t.Errorf("deadline-padded run diverged:\n  got:  %+v\n  want: %+v", got, ref)
 	}
 	if faulted.Lag.TotalRollbacks() == 0 {
@@ -307,10 +291,7 @@ func TestChipLagDeadlinePadRollbackBitIdentical(t *testing.T) {
 // OCN round trips must end strides at computed response deadlines (not
 // one-cycle lockstep) and must do so without a single rollback.
 func TestChipLagDeadlineCountersPopulated(t *testing.T) {
-	c := chipScenario(t, "chase", func(cfg *Config) {})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
+	c := runScenario(t, "chase", production)
 	var deadline uint64
 	for i := range c.Lag.Core {
 		deadline += c.Lag.Core[i].DeadlineLimited
@@ -331,8 +312,6 @@ func TestChipLagDeadlineCountersPopulated(t *testing.T) {
 // effect-gate rewind must invoke the hook with a sane (from > effect) pair,
 // and the hook count must match the coordinator's rollback telemetry.
 func TestChipRollbackHookObserves(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
 	c := chipScenario(t, "chase", func(cfg *Config) {
 		cfg.LagHorizonOverride = 64
 	})
@@ -356,38 +335,91 @@ func TestChipRollbackHookObserves(t *testing.T) {
 	}
 }
 
-// TestChipLagLimitBoundaryParity sweeps MaxCycles across the completion
-// boundary and requires the sequential and bounded-lag steppers to agree on
-// outcome (success vs limit error) and final cycle at every limit.
-func TestChipLagLimitBoundaryParity(t *testing.T) {
-	base := chipScenario(t, "count", func(cfg *Config) {
-		cfg.Stepping = StepSeq
-		cfg.NoWarp = true
-		cfg.NoParallel = true
-	})
-	if err := base.Run(); err != nil {
-		t.Fatal(err)
-	}
-	n := base.Cycle()
+// sweepLimitBoundary sweeps MaxCycles across the final commit of a
+// scenario and requires the production stepper and the oracle to agree on
+// the outcome (success vs limit error, in identical words) and the final
+// cycle at every limit. A chip finishing its last step during cycle `limit`
+// (final Cycle() == limit+1) must succeed; one needing more must report the
+// limit error. engaged names the production fast path the caller pins: it
+// returns "" when that path ran in the limited production run, else what
+// was missing — a sweep the path never entered would prove nothing about
+// its clamp onto the limit.
+func sweepLimitBoundary(t *testing.T, scenario string, engaged func(*Chip) string) {
+	t.Helper()
+	n := runScenario(t, scenario, oracle).Cycle() // the final step ran at cycle n-1
 	for lim := n - 3; lim <= n+1; lim++ {
-		lim := lim
-		cs := chipScenario(t, "count", func(cfg *Config) {
-			cfg.Stepping = StepSeq
-			cfg.MaxCycles = lim
-		})
-		errS := cs.Run()
-		cl := chipScenario(t, "count", func(cfg *Config) {
-			cfg.MaxCycles = lim
-		})
-		errL := cl.Run()
-		if (errS == nil) != (errL == nil) || cs.Cycle() != cl.Cycle() {
-			t.Errorf("limit=%d: seq cyc=%d err=%v | lag cyc=%d err=%v",
-				lim, cs.Cycle(), errS, cl.Cycle(), errL)
+		withLimit := func(mut func(*Config)) (*Chip, error) {
+			c := chipScenario(t, scenario, func(cfg *Config) {
+				mut(cfg)
+				cfg.MaxCycles = lim
+			})
+			return c, c.Run()
+		}
+		co, errO := withLimit(oracle)
+		cp, errP := withLimit(production)
+		if (errO == nil) != (errP == nil) || co.Cycle() != cp.Cycle() {
+			t.Errorf("limit=%d: oracle cyc=%d err=%v | production cyc=%d err=%v",
+				lim, co.Cycle(), errO, cp.Cycle(), errP)
 			continue
 		}
-		if errS != nil && errL != nil && errS.Error() != errL.Error() {
-			t.Errorf("limit=%d: error wording differs: %q vs %q", lim, errS, errL)
+		if errO != nil && errO.Error() != errP.Error() {
+			t.Errorf("limit=%d: error wording differs: %q vs %q", lim, errO, errP)
 		}
+		if wantOK := lim >= n-1; (errO == nil) != wantOK {
+			t.Errorf("limit=%d (completion step at %d): err=%v, want success=%v",
+				lim, n-1, errO, wantOK)
+		}
+		if missing := engaged(cp); missing != "" {
+			t.Errorf("limit=%d: %s", lim, missing)
+		}
+	}
+}
+
+// TestChipLagLimitBoundaryParity pins the bounded-lag coordinator's clamp:
+// every stride and DMA-only memory catch-up must stop on exactly `limit`,
+// and the step at that cycle must still run.
+func TestChipLagLimitBoundaryParity(t *testing.T) {
+	for _, scenario := range []string{"count", "dma"} {
+		t.Run(scenario, func(t *testing.T) {
+			sweepLimitBoundary(t, scenario, func(c *Chip) string {
+				if c.Lag.TotalStrides() == 0 {
+					return "production run recorded no bounded-lag strides"
+				}
+				return ""
+			})
+		})
+	}
+}
+
+// TestChipLimitBoundaryWarpParity pins the warp's clamp: a joint or
+// memory-domain warp over a quiet stretch must land exactly on `limit`,
+// never past it, so the limit error fires at the oracle's cycle.
+func TestChipLimitBoundaryWarpParity(t *testing.T) {
+	for _, sc := range []struct{ name, scenario string }{{"cores", "count"}, {"dma", "dma"}} {
+		t.Run(sc.name, func(t *testing.T) {
+			sweepLimitBoundary(t, sc.scenario, func(c *Chip) string {
+				if c.Warps == 0 {
+					return "production run never warped"
+				}
+				return ""
+			})
+		})
+	}
+}
+
+// TestChipLimitBoundaryDozeParity pins the per-tile doze at the limit: a
+// tile dozing through the limit cycle must not move where the limit error
+// fires or whether the final step completes the program.
+func TestChipLimitBoundaryDozeParity(t *testing.T) {
+	for _, sc := range []struct{ name, scenario string }{{"cores", "count"}, {"dma", "dma"}} {
+		t.Run(sc.name, func(t *testing.T) {
+			sweepLimitBoundary(t, sc.scenario, func(c *Chip) string {
+				if _, skips, _ := c.TileActivity(); skips == 0 {
+					return "production run dozed no tile"
+				}
+				return ""
+			})
+		})
 	}
 }
 
@@ -408,10 +440,7 @@ func TestChipLagVaddMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := chipScenario(t, "vadd", func(cfg *Config) {})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
+	c := runScenario(t, "vadd", production)
 	for _, out := range spec.Outputs {
 		gr, ok := meta.RegOf[out]
 		if !ok {

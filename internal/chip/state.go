@@ -10,9 +10,9 @@ import (
 )
 
 // contentHash binds a checkpoint to the program images and the
-// behavior-relevant configuration. Stepping mode, warp gating and host
-// parallelism are deliberately excluded: all steppers are bit-identical, so
-// a checkpoint taken under one may be restored under another.
+// behavior-relevant configuration. The stepper (NoFastPath) is
+// deliberately excluded: both steppers are bit-identical, so a checkpoint
+// taken under one may be restored under the other.
 func (c *Chip) contentHash() ckpt.Hash {
 	var parts [][]byte
 	for _, p := range c.cfg.Programs {

@@ -5,13 +5,12 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 )
 
-// ChipBenchRow is one (benchmark, variant) cell of the chip-stepping
-// host-time baseline: the measured host time per op and the simulated cycle
-// count the run produced. Cycle counts are deterministic and any drift
-// against the checked-in baseline is a correctness failure; host time is
+// ChipBenchRow is one (benchmark, variant) cell of the chip-bench host-time
+// baseline: the measured host time per op and the simulated cycle count the
+// run produced. Cycle counts are deterministic and any drift against the
+// checked-in baseline is a correctness failure; host time is
 // machine-dependent and compared informationally.
 type ChipBenchRow struct {
 	Bench   string  `json:"bench"`
@@ -26,99 +25,18 @@ type ChipBenchRow struct {
 }
 
 // ChipBenchReport is the machine-readable form written to BENCH_chip.json:
-// the bounded-lag vs sequential stepping A/B for the chip benchmarks, plus
-// the derived host-time speedups (sequential time / bounded-lag time at
-// identical simulated cycles) and the optional GOMAXPROCS scaling sweep.
+// each chip benchmark's production-stepper rows plus one row on the
+// NoFastPath reference stepper, stamped with the measuring host.
 type ChipBenchReport struct {
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// HostCPUs records the measuring machine's logical CPU count: a 1-CPU
-	// host serializes the parallel stepper, making seq-vs-lag host-time
-	// speedups meaningless (bench.sh warns on it).
-	HostCPUs int                `json:"host_cpus,omitempty"`
-	Rows     []ChipBenchRow     `json:"rows"`
-	Speedups map[string]float64 `json:"speedups,omitempty"`
-	// Sweep is the speedup-vs-cores series recorded by `bench.sh sweep`:
-	// the same (bench, variant) cells re-measured at several GOMAXPROCS
-	// settings. Cycles must match the main rows exactly — the stepper is
-	// bit-identical across host parallelism — so sweep points participate
-	// in drift checking.
-	Sweep []ChipSweepPoint `json:"sweep,omitempty"`
-}
-
-// ChipSweepPoint is one (GOMAXPROCS, bench, variant) measurement of the
-// scaling sweep. Speedup is against the sequential counterpart measured at
-// the same GOMAXPROCS, when both are present.
-type ChipSweepPoint struct {
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Bench      string  `json:"bench"`
-	Variant    string  `json:"variant"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	Cycles     int64   `json:"cycles"`
-	Speedup    float64 `json:"speedup,omitempty"`
-}
-
-// seqCounterpart returns the row that measures the same configuration under
-// the sequential stepper, if the variant naming marks one: "x" pairs with
-// "seq-x" (chip benchmarks) or "x-seq" (eval benchmarks).
-func seqCounterpart(rows []ChipBenchRow, r ChipBenchRow) (ChipBenchRow, bool) {
-	for _, s := range rows {
-		if s.Bench == r.Bench && (s.Variant == "seq-"+r.Variant || s.Variant == r.Variant+"-seq") {
-			return s, true
-		}
-	}
-	return ChipBenchRow{}, false
-}
-
-// isSeqVariant reports whether a variant name marks a sequential-stepper
-// measurement under the pairing convention seqCounterpart implements.
-func isSeqVariant(v string) bool {
-	return strings.HasPrefix(v, "seq-") || strings.HasSuffix(v, "-seq")
-}
-
-// baseOfSeq strips the sequential marker, returning the paired variant name.
-func baseOfSeq(v string) string {
-	if strings.HasPrefix(v, "seq-") {
-		return strings.TrimPrefix(v, "seq-")
-	}
-	return strings.TrimSuffix(v, "-seq")
-}
-
-// MissingSeqPairings audits a report's rows against the pairing convention:
-// chip-bench cells come in seq/lag A/B pairs, so a missing half means a
-// partial bench run (an interrupted -bench filter, a crashed variant) that
-// must not masquerade as a clean baseline. A seq row without its base row in
-// rows is always an error. A base row must have its seq counterpart when ref
-// (typically the union of both compared files' rows) shows one exists for
-// that cell — some cells, like the standalone -nowarp ablations, legitimately
-// have none. Returns one human-readable description per unpaired row, sorted.
-func MissingSeqPairings(rows, ref []ChipBenchRow) []string {
-	have := make(map[string]bool, len(rows))
-	for _, r := range rows {
-		have[r.Bench+"/"+r.Variant] = true
-	}
-	var miss []string
-	for _, r := range rows {
-		if isSeqVariant(r.Variant) {
-			if !have[r.Bench+"/"+baseOfSeq(r.Variant)] {
-				miss = append(miss, r.Bench+"/"+r.Variant+": no paired row "+r.Bench+"/"+baseOfSeq(r.Variant))
-			}
-			continue
-		}
-		if _, expected := seqCounterpart(ref, r); !expected {
-			continue
-		}
-		if _, ok := seqCounterpart(rows, r); !ok {
-			miss = append(miss, r.Bench+"/"+r.Variant+": no seq counterpart row")
-		}
-	}
-	sort.Strings(miss)
-	return miss
+	GOMAXPROCS int            `json:"gomaxprocs"`
+	HostCPUs   int            `json:"host_cpus,omitempty"`
+	Rows       []ChipBenchRow `json:"rows"`
 }
 
 // MergeChipBenchJSON folds rows into the report at path, replacing cells
-// with the same (bench, variant) key and recomputing the speedup table.
-// Merging (rather than overwriting) lets each benchmark family contribute
-// its rows independently of -bench filters and run order.
+// with the same (bench, variant) key. Merging (rather than overwriting)
+// lets each benchmark family contribute its rows independently of -bench
+// filters and run order.
 func MergeChipBenchJSON(path string, rows []ChipBenchRow) error {
 	var rep ChipBenchReport
 	if data, err := os.ReadFile(path); err == nil {
@@ -144,68 +62,6 @@ func MergeChipBenchJSON(path string, rows []ChipBenchRow) error {
 		return rep.Rows[i].Variant < rep.Rows[j].Variant
 	})
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	rep.HostCPUs = runtime.NumCPU()
-	rep.Speedups = map[string]float64{}
-	for _, r := range rep.Rows {
-		if s, ok := seqCounterpart(rep.Rows, r); ok && r.NsPerOp > 0 {
-			rep.Speedups[r.Bench+"/"+r.Variant] = s.NsPerOp / r.NsPerOp
-		}
-	}
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// MergeChipSweepJSON folds rows measured at the given GOMAXPROCS into the
-// report's scaling sweep, replacing points with the same (procs, bench,
-// variant) key and recomputing each point's speedup against its sequential
-// counterpart at the same procs. The main rows, recorded at the machine's
-// default parallelism, are left untouched so a sweep never perturbs the
-// drift baseline it is compared against.
-func MergeChipSweepJSON(path string, procs int, rows []ChipBenchRow) error {
-	var rep ChipBenchReport
-	if data, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(data, &rep)
-	}
-	for _, r := range rows {
-		pt := ChipSweepPoint{GOMAXPROCS: procs, Bench: r.Bench, Variant: r.Variant, NsPerOp: r.NsPerOp, Cycles: r.Cycles}
-		replaced := false
-		for i := range rep.Sweep {
-			if rep.Sweep[i].GOMAXPROCS == procs && rep.Sweep[i].Bench == r.Bench && rep.Sweep[i].Variant == r.Variant {
-				rep.Sweep[i] = pt
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			rep.Sweep = append(rep.Sweep, pt)
-		}
-	}
-	sort.Slice(rep.Sweep, func(i, j int) bool {
-		a, b := rep.Sweep[i], rep.Sweep[j]
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
-		}
-		if a.Variant != b.Variant {
-			return a.Variant < b.Variant
-		}
-		return a.GOMAXPROCS < b.GOMAXPROCS
-	})
-	for i := range rep.Sweep {
-		rep.Sweep[i].Speedup = 0
-		p := rep.Sweep[i]
-		group := make([]ChipBenchRow, 0, len(rep.Sweep))
-		for _, q := range rep.Sweep {
-			if q.GOMAXPROCS == p.GOMAXPROCS {
-				group = append(group, ChipBenchRow{Bench: q.Bench, Variant: q.Variant, NsPerOp: q.NsPerOp, Cycles: q.Cycles})
-			}
-		}
-		if s, ok := seqCounterpart(group, ChipBenchRow{Bench: p.Bench, Variant: p.Variant, NsPerOp: p.NsPerOp}); ok && p.NsPerOp > 0 {
-			rep.Sweep[i].Speedup = s.NsPerOp / p.NsPerOp
-		}
-	}
 	rep.HostCPUs = runtime.NumCPU()
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {

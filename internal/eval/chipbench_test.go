@@ -4,75 +4,26 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-// TestMissingSeqPairings pins the partial-run audit bench-compare builds on:
-// a seq row without its base row always flags, a base row flags only when
-// the reference set shows its seq counterpart exists, and standalone
-// ablation rows (no counterpart anywhere) pass.
-func TestMissingSeqPairings(t *testing.T) {
-	full := []ChipBenchRow{
-		{Bench: "ChipDMAStream", Variant: "warp"},
-		{Bench: "ChipDMAStream", Variant: "seq-warp"},
-		{Bench: "NUCAvsPerfectL2", Variant: "nuca"},
-		{Bench: "NUCAvsPerfectL2", Variant: "nuca-seq"},
-		{Bench: "NUCAvsPerfectL2", Variant: "nuca-nowarp"}, // standalone ablation
-	}
-	if miss := MissingSeqPairings(full, full); len(miss) != 0 {
-		t.Fatalf("fully paired rows flagged: %v", miss)
-	}
-
-	// Partial run lost the seq halves: both base rows flag against the full
-	// reference, the ablation still passes.
-	partial := []ChipBenchRow{full[0], full[2], full[4]}
-	miss := MissingSeqPairings(partial, full)
-	want := []string{
-		"ChipDMAStream/warp: no seq counterpart row",
-		"NUCAvsPerfectL2/nuca: no seq counterpart row",
-	}
-	if len(miss) != len(want) || miss[0] != want[0] || miss[1] != want[1] {
-		t.Fatalf("partial-run audit = %v, want %v", miss, want)
-	}
-
-	// A seq row whose base row is gone flags even with no reference help.
-	orphan := []ChipBenchRow{{Bench: "ChipDMAStream", Variant: "seq-warp"}}
-	miss = MissingSeqPairings(orphan, orphan)
-	if len(miss) != 1 || miss[0] != "ChipDMAStream/seq-warp: no paired row ChipDMAStream/warp" {
-		t.Fatalf("orphan seq row audit = %v", miss)
-	}
-}
-
-// TestMergeChipSweepJSON checks the scaling-sweep merge: points replace by
-// (procs, bench, variant), per-procs speedups are recomputed against the seq
-// counterpart measured at the same procs, and the main rows plus their
-// speedup table survive untouched.
-func TestMergeChipSweepJSON(t *testing.T) {
+// TestMergeChipBenchJSON checks the baseline merge: a cell replaces the row
+// with the same (bench, variant) key, new cells are added, and rows come
+// out sorted whatever order the benchmark families ran in.
+func TestMergeChipBenchJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chip.json")
-	main := []ChipBenchRow{
-		{Bench: "ChipDMAStream", Variant: "warp", NsPerOp: 100, Cycles: 42},
-		{Bench: "ChipDMAStream", Variant: "seq-warp", NsPerOp: 200, Cycles: 42},
-	}
-	if err := MergeChipBenchJSON(path, main); err != nil {
-		t.Fatal(err)
-	}
-	sweep2 := []ChipBenchRow{
-		{Bench: "ChipDMAStream", Variant: "warp", NsPerOp: 50, Cycles: 42},
-		{Bench: "ChipDMAStream", Variant: "seq-warp", NsPerOp: 200, Cycles: 42},
-	}
-	if err := MergeChipSweepJSON(path, 2, sweep2); err != nil {
-		t.Fatal(err)
-	}
-	// Re-merging the same procs replaces rather than duplicates.
-	if err := MergeChipSweepJSON(path, 2, sweep2); err != nil {
-		t.Fatal(err)
-	}
-	if err := MergeChipSweepJSON(path, 4, []ChipBenchRow{
-		{Bench: "ChipDMAStream", Variant: "warp", NsPerOp: 25, Cycles: 42},
+	if err := MergeChipBenchJSON(path, []ChipBenchRow{
+		{Bench: "NUCAvsPerfectL2", Variant: "nuca", NsPerOp: 100, Cycles: 8546},
 	}); err != nil {
 		t.Fatal(err)
 	}
-
+	if err := MergeChipBenchJSON(path, []ChipBenchRow{
+		{Bench: "NUCAvsPerfectL2", Variant: "nuca", NsPerOp: 50, Cycles: 8546},
+		{Bench: "ChipDMAStream", Variant: "nofastpath", NsPerOp: 200, Cycles: 42},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -81,23 +32,11 @@ func TestMergeChipSweepJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 2 || rep.Speedups["ChipDMAStream/warp"] != 2.0 {
-		t.Fatalf("main rows perturbed by sweep merge: rows=%d speedups=%v", len(rep.Rows), rep.Speedups)
+	want := []ChipBenchRow{
+		{Bench: "ChipDMAStream", Variant: "nofastpath", NsPerOp: 200, Cycles: 42},
+		{Bench: "NUCAvsPerfectL2", Variant: "nuca", NsPerOp: 50, Cycles: 8546},
 	}
-	if len(rep.Sweep) != 3 {
-		t.Fatalf("sweep has %d points, want 3 (replace, not append): %+v", len(rep.Sweep), rep.Sweep)
-	}
-	bySweep := map[string]ChipSweepPoint{}
-	for _, p := range rep.Sweep {
-		bySweep[p.Variant+"@"+string(rune('0'+p.GOMAXPROCS))] = p
-	}
-	if got := bySweep["warp@2"].Speedup; got != 4.0 {
-		t.Fatalf("warp@2procs speedup = %v, want 4.0 (seq 200 / lag 50)", got)
-	}
-	if got := bySweep["warp@4"].Speedup; got != 0 {
-		t.Fatalf("warp@4procs speedup = %v, want 0 (no seq row at 4 procs)", got)
-	}
-	if got := bySweep["seq-warp@2"].Speedup; got != 0 {
-		t.Fatalf("seq row speedup = %v, want 0", got)
+	if !reflect.DeepEqual(rep.Rows, want) {
+		t.Fatalf("merged rows = %+v, want %+v", rep.Rows, want)
 	}
 }

@@ -29,8 +29,12 @@ type trips struct {
 	lag  bool
 }
 
-// buildTRIPS compiles spec and assembles the machine RunTRIPS would run.
-func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*trips, error) {
+// buildTRIPS compiles spec and assembles the machine RunTRIPS would run. A
+// NUCA machine runs under the bounded-lag coordinator unless opt.NoFastPath
+// or seq selects the sequential interleave, in which the core steps its
+// memory system itself; RunSampled and ReplayBundle set seq because they
+// drive restored machines cycle by cycle.
+func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions, seq bool) (*trips, error) {
 	prog, meta, err := tcc.Compile(spec.F, tcc.Options{Mode: opt.Mode, Placement: opt.Placement})
 	if err != nil {
 		return nil, fmt.Errorf("eval: compile %s: %w", spec.F.Name, err)
@@ -47,16 +51,16 @@ func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*trips, error) {
 		lat = 20
 	}
 	t := &trips{name: spec.F.Name, prog: prog, meta: meta, m: m, lat: lat}
-	t.lag = opt.UseNUCA && !opt.SeqStep
+	t.lag = opt.UseNUCA && !opt.NoFastPath && !seq
 	var backend proc.MemBackend
 	if opt.UseNUCA {
 		t.sys = nuca.New(nuca.Config{Backing: m, Trace: opt.Trace, Metrics: opt.Metrics})
-		if t.lag {
-			// Bounded-lag stepping needs every port tagged with the single
-			// core's owner id so the staged-submission gate and the effect
-			// gate see its traffic.
-			t.sys.AssignOwners(func(string) int { return 0 })
-		}
+		// Bounded-lag stepping needs every port tagged with the single
+		// core's owner id so the staged-submission gate and the effect gate
+		// see its traffic. The sequential interleave tags them too: the
+		// per-owner accounting is then part of every checkpoint, so a frame
+		// captured under either stepper resumes under the other.
+		t.sys.AssignOwners(func(string) int { return 0 })
 		backend = t.sys
 	} else {
 		t.flm = proc.NewFixedLatencyMem(m, lat)
@@ -70,8 +74,6 @@ func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*trips, error) {
 		ConservativeLoads: opt.ConservativeLoads,
 		SlowOPNRouter:     opt.SlowOPNRouter,
 		NoFastPath:        opt.NoFastPath,
-		NoWarp:            opt.NoWarp,
-		NoEventDriven:     opt.NoEventDriven,
 		ExternalMemTick:   t.lag,
 		MaxCycles:         opt.MaxCycles,
 		Trace:             opt.Trace,
@@ -93,10 +95,10 @@ func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*trips, error) {
 }
 
 // hash binds a checkpoint to the exact program image and the configuration
-// knobs that shape simulated behavior. Stepping discipline (SeqStep,
-// ParStride, NoFastPath, NoWarp, NoEventDriven) is deliberately excluded:
-// all disciplines are bit-identical by construction, so a checkpoint taken
-// under one may be restored under another.
+// knobs that shape simulated behavior. The stepper (NoFastPath, and the
+// sequential interleave RunSampled and ReplayBundle use) is deliberately
+// excluded: all steppers are bit-identical by construction, so a
+// checkpoint taken under one may be restored under another.
 func (t *trips) hash(opt TRIPSOptions) ckpt.Hash {
 	cfg := fmt.Sprintf("eval:%s mode=%v placement=%v opn=%d conservative=%v slowopn=%v memlat=%d nuca=%v",
 		t.name, opt.Mode, opt.Placement, opt.OPNChannels, opt.ConservativeLoads,
@@ -206,10 +208,9 @@ type SampledResult struct {
 // fresh machine and re-simulates exactly one interval, yielding per-interval
 // IPC without a second serial pass. workers <= 0 means GOMAXPROCS.
 //
-// The machines run on the sequential core/memory interleave regardless of
-// opt.SeqStep: every stepping discipline is bit-identical by construction,
-// and the sequential one both supports re-arming the commit hook and lets a
-// restored interval be driven cycle-by-cycle. A program that retires before
+// The machines run on the sequential core/memory interleave: every
+// stepper is bit-identical by construction, and the sequential one lets a
+// restored interval be driven cycle by cycle. A program that retires before
 // `warmup` yields Samples of length zero.
 func RunSampled(spec *workloads.Spec, opt TRIPSOptions, warmup, interval int64, maxSamples, workers int) (*SampledResult, error) {
 	if interval <= 0 {
@@ -230,14 +231,13 @@ func RunSampled(spec *workloads.Spec, opt TRIPSOptions, warmup, interval int64, 
 	if opt.Flight != nil {
 		return nil, fmt.Errorf("eval: sampled %s: the flight recorder and SimPoint sampling both own the commit hook; use one", spec.F.Name)
 	}
-	opt.SeqStep = true
 	opt.CheckpointAt = 0
 	// A Tracer/Sampler is single-goroutine; the interval machines run
 	// concurrently, so observability stays on the profiling pass only.
 	intervalOpt := opt
 	intervalOpt.Trace, intervalOpt.Metrics = nil, nil
 
-	ref, err := buildTRIPS(spec, opt)
+	ref, err := buildTRIPS(spec, opt, true)
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +311,7 @@ func RunSampled(spec *workloads.Spec, opt TRIPSOptions, warmup, interval int64, 
 // runInterval restores one checkpoint into a fresh machine and steps it for
 // one interval (or until the program retires).
 func runInterval(spec *workloads.Spec, opt TRIPSOptions, payload []byte, interval int64) (SampleInterval, error) {
-	t, err := buildTRIPS(spec, opt)
+	t, err := buildTRIPS(spec, opt, true)
 	if err != nil {
 		return SampleInterval{}, err
 	}

@@ -42,7 +42,10 @@ func ckptCompare(t *testing.T, label string, got, want *TRIPSResult) {
 }
 
 // roundTrip runs spec uninterrupted, then with a mid-run checkpoint, then
-// restored from that checkpoint, and requires all three outcomes identical.
+// restored from that checkpoint under each stepper — a checkpoint captured
+// under the production stepper must resume under the oracle and the other
+// way round, which ReplayBundle relies on — and requires every outcome
+// identical.
 func roundTrip(t *testing.T, spec *workloads.Spec, opt TRIPSOptions, label string) {
 	t.Helper()
 	want, err := RunTRIPS(spec, opt)
@@ -66,28 +69,29 @@ func roundTrip(t *testing.T, spec *workloads.Spec, opt TRIPSOptions, label strin
 		t.Fatalf("%s: no checkpoint captured (last commit before cycle %d?)", label, ckOpt.CheckpointAt)
 	}
 
-	rsOpt := opt
-	rsOpt.RestoreFrom = bytes.NewReader(buf.Bytes())
-	restored, err := RunTRIPS(spec, rsOpt)
-	if err != nil {
-		t.Fatalf("%s restored: %v", label, err)
+	for _, st := range steppers {
+		rsOpt := opt
+		rsOpt.NoFastPath = st.noFastPath
+		rsOpt.RestoreFrom = bytes.NewReader(buf.Bytes())
+		restored, err := RunTRIPS(spec, rsOpt)
+		if err != nil {
+			t.Fatalf("%s restored under the %s: %v", label, st.name, err)
+		}
+		ckptCompare(t, label+" restored under the "+st.name, restored, want)
 	}
-	ckptCompare(t, label+" restored run", restored, want)
 }
 
-// ckptMatrix is the stepping/warp matrix the acceptance criteria call for:
-// sequential vs bounded-lag (NUCA) and warp vs no-warp, plus the perfect-L2
-// backend.
+// ckptMatrix captures under each stepper behind each memory system: the
+// perfect L2, and the NUCA, where the production stepper runs the
+// bounded-lag coordinator and the oracle the sequential interleave.
 var ckptMatrix = []struct {
 	name string
 	opt  TRIPSOptions
 }{
 	{"l2", TRIPSOptions{}},
-	{"l2-nowarp", TRIPSOptions{NoWarp: true}},
-	{"nuca-seq", TRIPSOptions{UseNUCA: true, SeqStep: true}},
-	{"nuca-seq-nowarp", TRIPSOptions{UseNUCA: true, SeqStep: true, NoWarp: true}},
-	{"nuca-lag", TRIPSOptions{UseNUCA: true}},
-	{"nuca-lag-nowarp", TRIPSOptions{UseNUCA: true, NoWarp: true}},
+	{"l2-oracle", TRIPSOptions{NoFastPath: true}},
+	{"nuca", TRIPSOptions{UseNUCA: true}},
+	{"nuca-oracle", TRIPSOptions{UseNUCA: true, NoFastPath: true}},
 }
 
 // TestCheckpointRoundTrip covers a representative workload subset in the
@@ -113,9 +117,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointRoundTripFuzzed is the property test: random workload,
-// random configuration, random capture cycle — the restored run must always
-// be bit-identical to the uninterrupted one. The seed is fixed so failures
-// reproduce.
+// random configuration, random capture cycle, random restoring stepper —
+// the restored run must always be bit-identical to the uninterrupted one.
+// The seed is fixed so failures reproduce.
 func TestCheckpointRoundTripFuzzed(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x7219))
 	names := []string{"vadd", "conv", "matrix", "dct8x8"}
@@ -127,9 +131,7 @@ func TestCheckpointRoundTripFuzzed(t *testing.T) {
 		}
 		opt := TRIPSOptions{
 			UseNUCA:           rng.Intn(2) == 0,
-			SeqStep:           rng.Intn(2) == 0,
-			NoWarp:            rng.Intn(2) == 0,
-			NoFastPath:        rng.Intn(4) == 0,
+			NoFastPath:        rng.Intn(2) == 0,
 			OPNChannels:       1 + rng.Intn(2),
 			ConservativeLoads: rng.Intn(2) == 0,
 		}
@@ -156,6 +158,7 @@ func TestCheckpointRoundTripFuzzed(t *testing.T) {
 			continue
 		}
 		rsOpt := opt
+		rsOpt.NoFastPath = rng.Intn(2) == 0
 		rsOpt.RestoreFrom = bytes.NewReader(buf.Bytes())
 		restored, err := RunTRIPS(spec, rsOpt)
 		if err != nil {

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"trips/internal/chip"
@@ -66,90 +68,118 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestFastPathBitIdentical is the tentpole invariant, checked four ways:
-// full stepping (NoFastPath — every tile ticked every cycle, as the
-// original loop did), the quiescence-aware fast paths with both warping and
-// the per-tile doze overlay disabled, the fast paths with doze but no warp,
-// and everything on (doze plus clock-warping over quiescent stretches).
-// All four may change host time only: cycles, stats, critical path and
-// architectural registers must match exactly.
+// steppers are the two legs every eval parity test runs: the NoFastPath
+// reference stepper of DESIGN.md §4 (the oracle, run first) and the
+// production stepper.
+var steppers = []struct {
+	name       string
+	noFastPath bool
+}{
+	{"oracle", true},
+	{"production", false},
+}
+
+// TestFastPathBitIdentical is the tentpole invariant: the production
+// stepper (idle-tile gating, per-tile doze, clock warping over quiescent
+// stretches) may change host time only. Cycles, stats, critical path and
+// architectural registers must match the oracle's exactly.
 func TestFastPathBitIdentical(t *testing.T) {
-	variants := []struct {
-		name string
-		opt  TRIPSOptions
-	}{
-		{"full", TRIPSOptions{NoFastPath: true}},
-		{"fastpath", TRIPSOptions{NoWarp: true, NoEventDriven: true}},
-		{"fastpath+doze", TRIPSOptions{NoWarp: true}},
-		{"fastpath+doze+warp", TRIPSOptions{}},
-	}
 	for _, name := range microNames {
 		w, err := workloads.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, mode := range []tcc.Mode{tcc.Hand, tcc.Compiled} {
-			hand := mode == tcc.Hand
-			var ref *TRIPSResult
-			for _, v := range variants {
-				opt := v.opt
-				opt.Mode = mode
-				opt.TrackCritPath = true
-				res, err := RunTRIPS(w.Build(hand), opt)
-				if err != nil {
-					t.Fatalf("%s (%s): %v", name, v.name, err)
-				}
-				if ref == nil {
-					ref = res
-					continue
-				}
-				if a, b := summarize(ref), summarize(res); a != b {
-					t.Errorf("%s (mode %v): %s diverged from full stepping:\n  full: %+v\n  %s: %+v",
-						name, mode, v.name, a, v.name, b)
-				}
-				for reg, val := range ref.Regs {
-					if res.Regs[reg] != val {
-						t.Errorf("%s (mode %v): r%d = %d full, %d %s", name, mode, reg, val, res.Regs[reg], v.name)
-					}
-				}
-			}
+			runParity(t, fmt.Sprintf("%s (mode %v)", name, mode), w.Build(mode == tcc.Hand), TRIPSOptions{Mode: mode, TrackCritPath: true})
 		}
 	}
 }
 
-// TestNUCAFastPathBitIdentical repeats the four-way check behind the full
-// NUCA secondary memory system, where the core's warp and doze decisions
-// must also respect OCN deadlines delivered from outside Core.Step.
-func TestNUCAFastPathBitIdentical(t *testing.T) {
-	w, err := workloads.ByName("vadd")
-	if err != nil {
-		t.Fatal(err)
-	}
+// runParity runs spec under both steppers and requires the production
+// result to match the oracle's in every simulated observable.
+func runParity(t *testing.T, label string, spec *workloads.Spec, opt TRIPSOptions) {
+	t.Helper()
 	var ref *TRIPSResult
-	for _, v := range []struct {
-		name string
-		opt  TRIPSOptions
-	}{
-		{"full", TRIPSOptions{NoFastPath: true}},
-		{"fastpath", TRIPSOptions{NoWarp: true, NoEventDriven: true}},
-		{"fastpath+doze", TRIPSOptions{NoWarp: true}},
-		{"fastpath+doze+warp", TRIPSOptions{}},
-	} {
-		opt := v.opt
-		opt.Mode = tcc.Hand
-		opt.UseNUCA = true
-		opt.TrackCritPath = true
-		res, err := RunTRIPS(w.Build(true), opt)
+	for _, st := range steppers {
+		opt.NoFastPath = st.noFastPath
+		res, err := RunTRIPS(spec, opt)
 		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			t.Fatalf("%s (%s): %v", label, st.name, err)
 		}
 		if ref == nil {
 			ref = res
 			continue
 		}
 		if a, b := summarize(ref), summarize(res); a != b {
-			t.Errorf("NUCA %s diverged:\n  full: %+v\n  %s: %+v", v.name, a, v.name, b)
+			t.Errorf("%s: %s diverged from the oracle:\n  oracle: %+v\n  %s: %+v", label, st.name, a, st.name, b)
 		}
+		if !reflect.DeepEqual(res.Regs, ref.Regs) {
+			t.Errorf("%s: %s final registers diverge from the oracle", label, st.name)
+		}
+		if !reflect.DeepEqual(res.NUCA, ref.NUCA) {
+			t.Errorf("%s: %s NUCA counters diverge from the oracle:\n  oracle: %+v\n  %s: %+v", label, st.name, ref.NUCA, st.name, res.NUCA)
+		}
+	}
+}
+
+// TestNUCAFastPathBitIdentical repeats the check behind the full NUCA
+// secondary memory system, where the production stepper also moves the
+// memory system into its own clock domain (the bounded-lag coordinator)
+// while the oracle keeps the sequential core-drives-backend interleave.
+// vadd is the load-bearing workload here: its working set evicts dirty L2
+// lines, and a victim writeback is submitted from inside a response's Done
+// callback during the backend tick — the one submission whose drain stamp
+// cannot come from the owning core's clock (the clock already reads the
+// in-progress tick) and must be phased to replay the sequential drain
+// schedule. Divergence on vadd means the stamp phasing broke.
+func TestNUCAFastPathBitIdentical(t *testing.T) {
+	w, err := workloads.ByName("vadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runParity(t, "NUCA vadd", w.Build(true), TRIPSOptions{Mode: tcc.Hand, UseNUCA: true, TrackCritPath: true})
+}
+
+// TestNUCASteppingModesBitIdentical covers the third NUCA discipline: the
+// sequential interleave RunSampled and ReplayBundle drive restored machines
+// on. It keeps the production core's fast paths but has the core tick its
+// memory system itself instead of handing it to the bounded-lag
+// coordinator, so it must match the oracle on vadd's cycles, statistics,
+// registers and NUCA counters — the property that lets a frame captured
+// under RunTRIPS replay cycle by cycle.
+func TestNUCASteppingModesBitIdentical(t *testing.T) {
+	w, err := workloads.ByName("vadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := TRIPSOptions{Mode: tcc.Hand, UseNUCA: true}
+	ref, err := RunTRIPS(w.Build(true), TRIPSOptions{Mode: tcc.Hand, UseNUCA: true, NoFastPath: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := buildTRIPS(w.Build(true), opt, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.lag {
+		t.Fatal("the sequential interleave selected the bounded-lag coordinator")
+	}
+	res, err := seq.core.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := seq.finish(res, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := summarize(ref), summarize(got); a != b {
+		t.Errorf("sequential interleave diverged from the oracle:\n  oracle: %+v\n  seq:    %+v", a, b)
+	}
+	if !reflect.DeepEqual(got.Regs, ref.Regs) {
+		t.Error("sequential interleave final registers diverge from the oracle")
+	}
+	if !reflect.DeepEqual(got.NUCA, ref.NUCA) {
+		t.Errorf("sequential interleave NUCA counters diverge from the oracle:\n  oracle: %+v\n  seq:    %+v", ref.NUCA, got.NUCA)
 	}
 }
 

@@ -34,27 +34,13 @@ type TRIPSOptions struct {
 	// secondary memory system: the 16-bank NUCA array on the 4x10 OCN with
 	// SDRAM behind it.
 	UseNUCA bool
-	// NoFastPath disables the quiescence-aware stepping fast paths and
-	// ticks every tile every cycle. Results must be bit-identical either
-	// way; the flag exists for regression tests and debugging.
+	// NoFastPath runs the reference stepper of DESIGN.md §4 instead of the
+	// production one: every tile ticks every cycle with no doze and no
+	// warp, and a UseNUCA core drives its memory system in the sequential
+	// interleave instead of the bounded-lag coordinator. Results must be
+	// bit-identical either way; the flag exists for regression tests and
+	// debugging.
 	NoFastPath bool
-	// NoWarp disables clock-warping over quiescent stretches while keeping
-	// the stepping fast paths. Results must be bit-identical either way.
-	NoWarp bool
-	// NoEventDriven disables the per-tile doze overlay (event-driven tile
-	// clocks) while keeping the whole-core fast paths. Results must be
-	// bit-identical either way. NoFastPath implies it.
-	NoEventDriven bool
-	// SeqStep forces the sequential core-drives-backend interleave for
-	// UseNUCA runs instead of the default bounded-lag coordinator (core and
-	// memory system as separate clock domains). Results must be bit-identical
-	// either way; the flag exists for A/B verification and host-time
-	// baselines. Without UseNUCA the run is always sequential.
-	SeqStep bool
-	// ParStride, when positive, caps bounded-lag stride length below the
-	// automatically derived visibility horizon (0 = auto). Always safe and
-	// always bit-identical; exists for A/B experiments on stride length.
-	ParStride int64
 	// Trace, when non-nil, records block-protocol and micronet events for
 	// export as a Chrome/Perfetto timeline. Never changes simulated cycles.
 	Trace *obs.Tracer
@@ -142,7 +128,7 @@ func RunTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*TRIPSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := buildTRIPS(spec, opt)
+	t, err := buildTRIPS(spec, opt, false)
 	if err != nil {
 		return nil, err
 	}
@@ -174,35 +160,29 @@ func RunTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*TRIPSResult, error) {
 	var lagStats *proc.LagStats
 	err = fr.guard(func() error {
 		var err error
-		if t.lag {
-			lagStats = &proc.LagStats{}
-			if sm := opt.Metrics; sm != nil {
-				sm.Register("lag.strides", func() int64 { return int64(lagStats.TotalStrides()) })
-				sm.Register("lag.rollbacks", func() int64 { return int64(lagStats.TotalRollbacks()) })
-				sm.Register("lag.deadline_strides", func() int64 {
-					var n uint64
-					for i := range lagStats.Core {
-						n += lagStats.Core[i].DeadlineLimited
-					}
-					return int64(n)
-				})
-				sm.Register("lag.mem_warped_cycles", func() int64 { return lagStats.MemWarpedCycles })
-			}
-			switch {
-			case opt.CheckpointTo != nil:
-				res, err = t.core.RunLagWithCheckpoint(t.sys, opt.ParStride, lagStats, opt.CheckpointAt, capture)
-			case fr.armed():
-				// The recorder pre-armed a self-re-arming rolling hook.
-				res, err = t.core.RunLagCheckpointed(t.sys, opt.ParStride, lagStats)
-			default:
-				res, err = t.core.RunLag(t.sys, opt.ParStride, lagStats)
-			}
-		} else {
-			if opt.CheckpointTo != nil {
-				t.core.SetCheckpointHook(opt.CheckpointAt, capture)
-			}
-			res, err = t.core.Run()
+		if opt.CheckpointTo != nil {
+			t.core.SetCheckpointHook(opt.CheckpointAt, capture)
 		}
+		// Both run loops honour the hook, whether armed just above or
+		// pre-armed by the flight recorder as a self-re-arming rolling hook.
+		if !t.lag {
+			res, err = t.core.Run()
+			return err
+		}
+		lagStats = &proc.LagStats{}
+		if sm := opt.Metrics; sm != nil {
+			sm.Register("lag.strides", func() int64 { return int64(lagStats.TotalStrides()) })
+			sm.Register("lag.rollbacks", func() int64 { return int64(lagStats.TotalRollbacks()) })
+			sm.Register("lag.deadline_strides", func() int64 {
+				var n uint64
+				for i := range lagStats.Core {
+					n += lagStats.Core[i].DeadlineLimited
+				}
+				return int64(n)
+			})
+			sm.Register("lag.mem_warped_cycles", func() int64 { return lagStats.MemWarpedCycles })
+		}
+		res, err = t.core.RunLag(t.sys, lagStats)
 		return err
 	})
 	if err != nil {
@@ -336,23 +316,15 @@ type Table3Row struct {
 	CyclesAlpha int64
 }
 
-// Stepping selects a simulator stepping discipline for a Table 3 run.
-// The zero value is the default (fast paths and clock-warping on); every
-// discipline must produce bit-identical simulated results, so the knobs
-// exist for A/B verification and host-throughput measurement.
+// Stepping selects how the simulator runs a Table 3 row. The zero value
+// is the production stepper behind the paper's perfect-L2 normalization.
 type Stepping struct {
+	// NoFastPath runs the reference stepper (see TRIPSOptions). Simulated
+	// results are bit-identical either way.
 	NoFastPath bool
-	NoWarp     bool
-	// NoEventDriven disables the per-tile doze overlay (see TRIPSOptions).
-	NoEventDriven bool
 	// UseNUCA swaps the perfect-L2 normalization for the full secondary
 	// memory system on the TRIPS runs (the Alpha baseline is unaffected).
 	UseNUCA bool
-	// SeqStep / ParStride select the core/memory interleave for UseNUCA
-	// runs: sequential lockstep vs bounded-lag with an optional stride cap.
-	// See TRIPSOptions.
-	SeqStep   bool
-	ParStride int64
 	// FlightDir, when non-empty, arms the flight recorder on the
 	// compiled-TRIPS run of each row (the hand run keeps the critical-path
 	// analyzer, which the recorder is incompatible with): a crash or
@@ -371,12 +343,12 @@ func Table3(w workloads.Workload, step ...Stepping) (Table3Row, error) {
 	}
 
 	handSpec := w.Build(true)
-	hand, err := RunTRIPS(handSpec, TRIPSOptions{Mode: tcc.Hand, TrackCritPath: true, NoFastPath: st.NoFastPath, NoWarp: st.NoWarp, NoEventDriven: st.NoEventDriven, UseNUCA: st.UseNUCA, SeqStep: st.SeqStep, ParStride: st.ParStride})
+	hand, err := RunTRIPS(handSpec, TRIPSOptions{Mode: tcc.Hand, TrackCritPath: true, NoFastPath: st.NoFastPath, UseNUCA: st.UseNUCA})
 	if err != nil {
 		return row, err
 	}
 	compSpec := w.Build(false)
-	copt := TRIPSOptions{Mode: tcc.Compiled, NoFastPath: st.NoFastPath, NoWarp: st.NoWarp, NoEventDriven: st.NoEventDriven, UseNUCA: st.UseNUCA, SeqStep: st.SeqStep, ParStride: st.ParStride}
+	copt := TRIPSOptions{Mode: tcc.Compiled, NoFastPath: st.NoFastPath, UseNUCA: st.UseNUCA}
 	if st.FlightDir != "" {
 		copt.Flight = &FlightOptions{Dir: st.FlightDir, Tool: "trips-eval", Bench: w.Name}
 	}

@@ -7,6 +7,7 @@ import (
 	"trips/internal/ckpt"
 	"trips/internal/flight"
 	"trips/internal/obs"
+	"trips/internal/proc"
 	"trips/internal/workloads"
 )
 
@@ -73,11 +74,10 @@ func ReplayBundle(b *flight.Bundle, ro ReplayOptions) (*ReplayResult, error) {
 	if ro.TrackCritPath && !ro.FromStart {
 		return nil, fmt.Errorf("eval: critical-path replay must run from the start (-from-start): checkpoints carry no critical-path events")
 	}
-	opt.SeqStep = true
 	opt.TrackCritPath = ro.TrackCritPath
 	tracer := obs.NewTracer(ro.TracerCap)
 	opt.Trace = tracer
-	t, err := buildTRIPS(spec, opt)
+	t, err := buildTRIPS(spec, opt, true)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func ReplayBundle(b *flight.Bundle, ro ReplayOptions) (*ReplayResult, error) {
 	if ro.ToCycle > 0 && ro.ToCycle <= t.core.Cycle() {
 		return nil, fmt.Errorf("eval: replay target cycle %d is not after the restore point %d", ro.ToCycle, t.core.Cycle())
 	}
-	const limit = 200_000_000
+	const limit = proc.DefaultMaxCycles
 	for !t.core.Done() {
 		if ro.ToCycle > 0 && t.core.Cycle() >= ro.ToCycle {
 			break

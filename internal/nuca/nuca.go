@@ -151,9 +151,9 @@ type ntPort struct {
 // outItem is a staged transaction awaiting injection. Submit builds the
 // message but leaves the transaction id unassigned and the system-wide
 // pending tables untouched: ports are driven from per-core step code, which
-// the chip may run in parallel goroutines, so Submit must touch only
-// port-local state. Ids are assigned and pending entries registered when the
-// serial Tick drains the queue, in fixed port order.
+// under bounded lag runs ahead of the memory system's clock, so Submit
+// touches only port-local state. Ids are assigned and pending entries
+// registered when Tick drains the queue, in fixed port order.
 type outItem struct {
 	msg    *ocnMsg
 	req    *proc.MemRequest
@@ -206,8 +206,7 @@ func (p *ntPort) Submit(req *proc.MemRequest) bool {
 }
 
 // submitPart stages one line-contained transaction. pd is nil for unsplit
-// requests. route() reads only construction-time state, so this is safe
-// from a parallel core step.
+// requests. route() reads only construction-time state.
 func (p *ntPort) submitPart(req *proc.MemRequest, pd *pending, addr uint64, n, off int) {
 	mt := p.sys.route(p.half, addr)
 	msg := &ocnMsg{
@@ -233,13 +232,13 @@ func (p *ntPort) submitPart(req *proc.MemRequest, pd *pending, addr uint64, n, o
 	}
 	p.outQ.Push(outItem{msg: msg, req: req, pd: pd, off: off, n: n, stamp: stamp})
 	if p.owner >= 0 {
-		// Owner counters are per-port-owner cells: each core goroutine only
-		// touches its own cell, and drains (which decrement) run in the
-		// serial memory phase, barrier-ordered against core steps.
+		// Owner counters are per-port-owner cells: each core's steps touch
+		// only its own cell, and drains (which decrement) run in the memory
+		// phase.
 		p.sys.stagedByOwner[p.owner]++
 	} else {
-		// Unowned (DMA) ports submit from the serial chip phase only, so a
-		// plain shared counter is safe.
+		// Unowned (DMA) ports submit from the memory phase and share one
+		// counter.
 		p.sys.stagedUnowned++
 	}
 }
@@ -294,9 +293,8 @@ type System struct {
 	delayed []delayedMsg
 	// free is the ocnMsg recycle list. Messages created and consumed inside
 	// the serial Tick/dispatch path (responses, SDC traffic) cycle through
-	// it; Submit-side request shells may enter it when consumed but are
-	// never taken from it, because Submit runs on parallel core goroutines
-	// while the pool is serial-only.
+	// it; Submit-side request shells may enter it when consumed, but
+	// Submit never takes from it.
 	free []*ocnMsg
 	// inTick is set for the duration of the serial Tick so submissions
 	// issued from inside Done callbacks (serviced by this very tick) can be
@@ -757,8 +755,7 @@ func (s *System) Tick() {
 		}
 	}
 	// Port output queues: transaction ids are assigned here, at the serial
-	// drain in fixed port order, so Submit stays safe from parallel core
-	// steps. Ids are correlation keys only (map lookups, echoed in
+	// drain in fixed port order, so Submit stays port-local. Ids are correlation keys only (map lookups, echoed in
 	// responses), so the assignment point does not affect simulated timing.
 	// Stamped items (bounded-lag cores that ran ahead) wait until the
 	// backend clock passes their stamp, replaying the sequential injection
@@ -1167,9 +1164,23 @@ func (s *System) scratchAccess(mt *mtState, msg *ocnMsg) {
 	s.freeMsg(msg)
 }
 
-// Flush writes every dirty L2 line back to the backing store (test and
-// shutdown aid).
+// flushDrainLimit bounds Flush's drain. It is far beyond any OCN transit
+// plus SDRAM access, so reaching it means work that never completes.
+const flushDrainLimit = 1_000_000
+
+// Flush drains the memory system and then writes every dirty L2 line back
+// to the backing store (end-of-run and test aid). A run can end while an
+// evicted dirty line is still on its way to SDRAM, so Flush first ticks
+// until nothing is in flight or scheduled, then writes back the resident
+// lines. The drain panics if the system is still busy after
+// flushDrainLimit ticks.
 func (s *System) Flush() {
+	for t := 0; !s.Quiet() || s.NextEventCycle() != horizonNever; t++ {
+		if t == flushDrainLimit {
+			panic(fmt.Sprintf("nuca: memory system still busy %d ticks into Flush", flushDrainLimit))
+		}
+		s.Tick()
+	}
 	for _, mt := range s.mts {
 		if mt.mode == ModeScratchpad {
 			continue

@@ -136,8 +136,8 @@ func UnpackPair(v uint64) (hi, lo int) {
 
 // Tracer records events into a preallocated ring buffer. Emit never
 // allocates; once the ring wraps, the oldest events are overwritten (the
-// export notes how many were dropped). A Tracer is single-goroutine: under
-// the chip's parallel core stepping each core needs its own Tracer.
+// export notes how many were dropped). A Tracer is single-goroutine: machines
+// that run concurrently (the eval worker pools) each need their own Tracer.
 type Tracer struct {
 	buf    []Event
 	n      uint64 // total events ever emitted

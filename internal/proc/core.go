@@ -49,28 +49,13 @@ type Config struct {
 	// completion, commit command, commit acknowledgment) — the data behind
 	// paper Figure 5b.
 	RecordTimeline bool
-	// NoFastPath disables the quiescence-aware stepping fast paths and
-	// ticks every tile every cycle, the original full-scan discipline. The
-	// fast paths are bit-identical by construction; this flag exists so the
-	// determinism regression tests can prove it on every workload.
+	// NoFastPath selects the reference stepper of DESIGN.md §4, the oracle
+	// every other discipline is checked against: every tile ticks every
+	// cycle, no tile dozes and Run never warps the clock. The production
+	// stepper (idle-tile gating, per-tile doze, clock warping) is
+	// bit-identical by construction; this flag exists so the determinism
+	// tests can prove it on every workload.
 	NoFastPath bool
-	// NoWarp disables clock warping: Run visits every cycle even when the
-	// core is provably quiescent until a scheduled event. Warped runs are
-	// bit-identical by construction (only no-op cycles are skipped, and the
-	// skipped ticks' counter effects are replayed exactly); the flag exists
-	// for the three-way A/B determinism tests, mirroring NoFastPath.
-	// NoFastPath implies NoWarp: the full-scan baseline never warps.
-	NoWarp bool
-	// NoEventDriven disables per-tile doze scheduling: with it set, every
-	// active tile ticks every cycle (the prior discipline), instead
-	// of tiles whose remaining work is provably deadline-held (an ET waiting
-	// out its pipeline latencies, a DT waiting out cache-hit latency, the GT
-	// in a warpIdle state) skipping ticks until their wake cycle. Event-driven
-	// stepping is bit-identical by construction — a dozing tile's skipped
-	// ticks are exactly ticks that would have been no-ops — and the flag
-	// exists for the A/B determinism suites, mirroring NoWarp. NoFastPath
-	// implies NoEventDriven: the full-scan baseline never dozes.
-	NoEventDriven bool
 	// Trace, when non-nil, records block-protocol and operand-network
 	// events into the ring. Tracing never mutates simulated state, so a
 	// traced run's cycle counts are bit-identical to an untraced one.
@@ -158,7 +143,7 @@ type Core struct {
 	TileTicks     uint64
 	TileSkips     uint64
 	SteppedCycles int64
-	// eventDriven caches !NoFastPath && !NoEventDriven: tiles may doze.
+	// eventDriven caches !NoFastPath: tiles may doze.
 	eventDriven bool
 	nonNopCount map[uint64]uint64 // block addr -> useful instruction count
 
@@ -175,11 +160,11 @@ type Core struct {
 	// boundary past ckptAt, then disarms. Nil when no checkpoint is armed.
 	ckptAt int64
 	ckptFn func(cycle int64) error
-	// Rollback hook: forwarded to LagConfig.OnRollback by the RunLag
-	// wrappers so observers (the flight recorder) see effect-gate rewinds.
+	// Rollback hook: forwarded to LagConfig.OnRollback by RunLag so
+	// observers (the flight recorder) see effect-gate rewinds.
 	onRollback func(owner int, from, effect int64)
-	// Fault-injection knobs forwarded to LagConfig by the RunLag wrappers
-	// (see LagConfig.HorizonOverride/DeadlinePad). Test/debug only.
+	// Fault-injection knobs forwarded to LagConfig by RunLag (see
+	// LagConfig.HorizonOverride/DeadlinePad). Test/debug only.
 	lagHorizonOverride int64
 	lagDeadlinePad     int64
 }
@@ -205,7 +190,7 @@ func NewCore(cfg Config) (*Core, error) {
 		cfg:         cfg,
 		program:     cfg.Program,
 		mem:         cfg.Mem,
-		eventDriven: !cfg.NoFastPath && !cfg.NoEventDriven,
+		eventDriven: !cfg.NoFastPath,
 		nonNopCount: make(map[uint64]uint64),
 		timelineI:   make(map[uint64]int),
 		trace:       cfg.Trace,
@@ -1101,6 +1086,19 @@ func (c *Core) RewindTo(target int64) {
 	c.WarpedCycles -= delta
 }
 
+// respCycle is the cycle a memory response is serviced in, as seen from
+// its Done callback: the step in progress when the core ticks its own
+// backend, or the step just finished when an outside loop (the chip, the
+// bounded-lag coordinator) ticks the backend between core steps. Stamping
+// critical-path events with it keeps the attribution identical under
+// every stepper.
+func (c *Core) respCycle() int64 {
+	if c.cfg.ExternalMemTick {
+		return c.cycle - 1
+	}
+	return c.cycle
+}
+
 // drainsIdle reports whether every DT has finished pushing committed
 // stores into its bank (the background tail of the commit protocol).
 func (c *Core) drainsIdle() bool {
@@ -1112,17 +1110,38 @@ func (c *Core) drainsIdle() bool {
 	return true
 }
 
+// DefaultMaxCycles is the simulated-cycle budget of a run whose
+// configuration leaves MaxCycles zero.
+const DefaultMaxCycles = 200_000_000
+
+// CommitWatchdog is the number of cycles without a block commit after
+// which a run gives up and reports a deadlock.
+const CommitWatchdog = 200_000
+
+// DeadlockError is the commit watchdog's error: no block committed in
+// CommitWatchdog cycles, as of the given cycle.
+func DeadlockError(cycle int64, committed uint64) error {
+	return fmt.Errorf("proc: no commit in %d cycles at cycle %d (%d blocks committed): deadlock", CommitWatchdog, cycle, committed)
+}
+
+// limitError is the error of a run that passed its cycle limit with work
+// outstanding.
+func limitError(limit int64, committed uint64) error {
+	return fmt.Errorf("proc: cycle limit %d exceeded (%d blocks committed)", limit, committed)
+}
+
 // Run executes until every thread halts and all committed stores have
-// drained, returning summary statistics.
+// drained, returning summary statistics. This is the sequential
+// interleave: each cycle steps the core, which ticks its memory backend.
 func (c *Core) Run() (Result, error) {
 	limit := c.cfg.MaxCycles
 	if limit == 0 {
-		limit = 200_000_000
+		limit = DefaultMaxCycles
 	}
 	lastCommit := c.cycle
 	lastCount := c.CommittedBlocks
 	eh, hasEH := c.mem.(EventHorizon)
-	warp := hasEH && !c.cfg.NoFastPath && !c.cfg.NoWarp && !c.cfg.ExternalMemTick
+	warp := hasEH && !c.cfg.NoFastPath && !c.cfg.ExternalMemTick
 	for !(c.gt.allRetired() && c.drainsIdle()) {
 		// Quiescent() is checked first: it fails O(1) on the first busy
 		// operand mesh, which is the common case on a loaded core, while
@@ -1140,7 +1159,7 @@ func (c *Core) Run() (Result, error) {
 			if h > limit {
 				h = limit
 			}
-			if wl := lastCommit + 200_000; h > wl {
+			if wl := lastCommit + CommitWatchdog; h > wl {
 				h = wl
 			}
 			if h > c.cycle {
@@ -1154,7 +1173,7 @@ func (c *Core) Run() (Result, error) {
 		// that very cycle succeeds); the error fires only once the clock
 		// has passed the limit with blocks outstanding.
 		if c.cycle > limit {
-			return Result{}, fmt.Errorf("proc: cycle limit %d exceeded (%d blocks committed)", limit, c.CommittedBlocks)
+			return Result{}, limitError(limit, c.CommittedBlocks)
 		}
 		c.Step()
 		if c.CommittedBlocks != lastCount {
@@ -1167,8 +1186,8 @@ func (c *Core) Run() (Result, error) {
 					return Result{}, fmt.Errorf("proc: checkpoint at cycle %d: %w", c.cycle, err)
 				}
 			}
-		} else if c.cycle-lastCommit > 200_000 {
-			return Result{}, fmt.Errorf("proc: no commit in 200000 cycles at cycle %d (%d blocks committed): deadlock", c.cycle, c.CommittedBlocks)
+		} else if c.cycle-lastCommit > CommitWatchdog {
+			return Result{}, DeadlockError(c.cycle, c.CommittedBlocks)
 		}
 	}
 	return c.buildResult()
@@ -1201,15 +1220,15 @@ func (c *Core) SetCheckpointHook(at int64, fn func(cycle int64) error) {
 }
 
 // SetRollbackHook arms fn to observe bounded-lag effect-gate rewinds when
-// this core runs under a RunLag wrapper: owner is the memory-port owner id,
+// this core runs under RunLag: owner is the memory-port owner id,
 // from the cycle the core had run ahead to, effect the rewound-to cycle.
 // Observability only — fn must not touch simulated state.
 func (c *Core) SetRollbackHook(fn func(owner int, from, effect int64)) {
 	c.onRollback = fn
 }
 
-// SetLagFaults sets the bounded-lag fault-injection knobs the RunLag
-// wrappers forward to the coordinator: horizonOverride forces every stride
+// SetLagFaults sets the bounded-lag fault-injection knobs RunLag forwards
+// to the coordinator: horizonOverride forces every stride
 // horizon to G+n, deadlinePad overshoots every response deadline by n
 // cycles (see LagConfig). Both make rollbacks reachable on demand while
 // results stay bit-identical; never set them outside tests or debugging
@@ -1221,8 +1240,8 @@ func (c *Core) SetLagFaults(horizonOverride, deadlinePad int64) {
 
 // Result returns the current run statistics (used by chip-level loops
 // that step cores manually instead of calling Run). A critical path that
-// outran its counters leaves CritPath empty here; Run and the RunLag
-// wrappers report it as an error.
+// outran its counters leaves CritPath empty here; Run and RunLag report it
+// as an error.
 func (c *Core) Result() Result {
 	res := Result{
 		Cycles:          c.cycle,

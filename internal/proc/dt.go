@@ -332,8 +332,9 @@ func (d *dtTile) pumpUncached(now int64) {
 				for i := len(data) - 1; i >= 0; i-- {
 					v = v<<8 | uint64(data[i])
 				}
-				ev := d.core.newEvent(d.core.cycle, pl.ev, critpath.Split{}, critpath.CatOther)
-				d.replyLoad(d.core.cycle+1, msg, Value{Bits: extendValue(v, msg.memOp)}, ev)
+				now := d.core.respCycle()
+				ev := d.core.newEvent(now, pl.ev, critpath.Split{}, critpath.CatOther)
+				d.replyLoad(now+1, msg, Value{Bits: extendValue(v, msg.memOp)}, ev)
 			}}
 		if !d.port.Submit(req) {
 			return
@@ -484,7 +485,7 @@ func (d *dtTile) fillLine(line uint64, data []byte) {
 	if v := d.bank.Fill(line, data); v.Valid {
 		d.writeback(v)
 	}
-	now := d.core.cycle
+	now := d.core.respCycle()
 	for _, w := range d.mshr.Complete(line) {
 		pl, _ := w.(*pendingLoad)
 		if pl == nil {

@@ -2,9 +2,7 @@ package proc
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"trips/internal/micronet"
 	"trips/internal/obs"
@@ -42,7 +40,7 @@ import (
 //     next Submit completes a round trip — and leg 2 ends the stride one
 //     cycle after any Submit, after which leg 1's deadline for that very
 //     transaction takes over. The stride is therefore bounded only by the
-//     cycle limit (and MaxStride, when configured); the effect gate still
+//     cycle limit; the effect gate still
 //     cross-checks every response against the owner's clock and rolls back
 //     the (warp-only, hence cheaply rewindable) overshoot if a
 //     fault-injected override let the core run past a real effect.
@@ -51,8 +49,8 @@ import (
 //
 // The coordinator alternates three phases per round: a joint warp when every
 // component is quiescent at the same cycle (the old whole-machine fast
-// path, now one special case), per-core strides (parallel across host
-// threads when enabled), and a serial memory catch-up that ticks the
+// path, now one special case), per-core strides run one after another on
+// the calling goroutine, and a serial memory catch-up that ticks the
 // backend to the slowest core's clock.
 
 // LagMem is the backend contract for bounded-lag stepping: an EventHorizon
@@ -90,7 +88,7 @@ type LagCoreStats struct {
 	StrideCycles int64
 	StrideHist   obs.Histogram
 	// Why strides ended: the core ran out of horizon (HorizonLimited, e.g. a
-	// MaxStride or fault-injection cap), reached the computed response
+	// fault-injection cap), reached the computed response
 	// deadline of its outstanding memory work (DeadlineLimited), degenerated
 	// to one-cycle lockstep because that deadline was already at hand
 	// (QuiesceLimited), staged a submission the backend must drain first
@@ -157,14 +155,11 @@ func (s *LagStats) Summary() string {
 
 // LagConfig parameterizes RunBoundedLag.
 type LagConfig struct {
-	// Limit is the simulated-cycle budget (0 means 200M, matching Run).
+	// Limit is the simulated-cycle budget (0 means DefaultMaxCycles,
+	// matching Run).
 	Limit int64
-	// Watchdog enables Run's per-core 200k-cycle no-commit deadlock check.
+	// Watchdog enables Run's per-core CommitWatchdog deadlock check.
 	Watchdog bool
-	// NoWarp disables every clock-warp fast path (strides still apply).
-	NoWarp bool
-	// Parallel strides cores on separate host threads when GOMAXPROCS > 1.
-	Parallel bool
 	// HorizonOverride, when positive, forces every stride horizon to G+n
 	// regardless of outstanding work — a fault-injection hook that makes
 	// horizon violations (and thus rollbacks) reachable for testing.
@@ -175,10 +170,6 @@ type LagConfig struct {
 	// fault-injection hook for exercising the rollback path; never set it
 	// outside tests.
 	DeadlinePad int64
-	// MaxStride, when positive, caps every stride horizon at G+n. Always
-	// safe: shrinking a horizon can never admit an early message; smaller
-	// values trade parallelism for tighter interleaving.
-	MaxStride int64
 	// PreTick runs before each backend tick with the tick index — the chip
 	// hangs its DMA engines here.
 	PreTick func(tick int64)
@@ -223,15 +214,6 @@ type strideRes struct {
 	reason int
 }
 
-type strideReq struct {
-	horizon int64
-	// endReason classifies a stride that runs all the way to its horizon:
-	// rsHorizon for a free-run or override cap, rsDeadline for a computed
-	// response deadline, rsQuiesce when that deadline degenerated to
-	// one-cycle lockstep.
-	endReason int
-}
-
 type lagRunner struct {
 	mem   LagMem
 	cores []LagCore
@@ -252,9 +234,6 @@ type lagRunner struct {
 	catchTarget int64
 
 	stats *LagStats
-	par   bool
-	work  []chan strideReq
-	wg    sync.WaitGroup
 }
 
 // RunBoundedLag drives cores and a shared memory backend to completion
@@ -265,7 +244,7 @@ type lagRunner struct {
 func RunBoundedLag(mem LagMem, cores []LagCore, cfg LagConfig) (int64, error) {
 	limit := cfg.Limit
 	if limit == 0 {
-		limit = 200_000_000
+		limit = DefaultMaxCycles
 	}
 	n := len(cores)
 	r := &lagRunner{
@@ -282,7 +261,6 @@ func RunBoundedLag(mem LagMem, cores []LagCore, cfg LagConfig) (int64, error) {
 		endReasons:  make([]int, n),
 		ownerIdx:    make(map[int]int, n),
 		stats:       cfg.Stats,
-		par:         cfg.Parallel && runtime.GOMAXPROCS(0) > 1 && n > 1,
 	}
 	if r.stats == nil {
 		r.stats = &LagStats{}
@@ -302,10 +280,6 @@ func RunBoundedLag(mem LagMem, cores []LagCore, cfg LagConfig) (int64, error) {
 	}
 	mem.SetEffectGate(r.onEffect)
 	defer mem.SetEffectGate(nil)
-	if r.par {
-		r.startWorkers()
-		defer r.stopWorkers()
-	}
 	for {
 		r.refreshDone()
 		if r.allDone() && !r.extraBusy() && r.G >= r.maxCoreCycle() {
@@ -385,7 +359,7 @@ func (r *lagRunner) canWarpExtra() bool {
 // all clocks jump together to the earliest scheduled event, exactly like
 // the sequential warp gate.
 func (r *lagRunner) jointWarp() {
-	if r.cfg.NoWarp || r.allDone() || !r.canWarpExtra() {
+	if r.allDone() || !r.canWarpExtra() {
 		return
 	}
 	h := horizonNever
@@ -414,7 +388,7 @@ func (r *lagRunner) jointWarp() {
 			if r.doneCore[k] {
 				continue
 			}
-			if wl := r.lastCommit[k] + 200_000; h > wl {
+			if wl := r.lastCommit[k] + CommitWatchdog; h > wl {
 				h = wl
 			}
 		}
@@ -437,11 +411,11 @@ func (r *lagRunner) jointWarp() {
 	r.G = h
 }
 
-// strideAll advances every active core up to its horizon for this round,
-// in parallel across host threads when enabled. Strides are independent by
-// construction — each worker touches only its own core, its own owner's
-// staging counters, and per-core coordinator slots — so worker scheduling
-// cannot change simulated results.
+// strideAll advances every active core up to its horizon for this round.
+// Every horizon is taken before the first stride runs. Strides are
+// independent by construction — each touches only its own core, its own
+// owner's staging counters, and per-core coordinator slots — so the order
+// the cores stride in cannot change simulated results.
 func (r *lagRunner) strideAll() {
 	active := 0
 	for k := range r.cores {
@@ -450,90 +424,21 @@ func (r *lagRunner) strideAll() {
 			continue
 		}
 		active++
-		var req strideReq
-		switch {
-		case r.cfg.HorizonOverride > 0:
-			req.horizon = r.G + r.cfg.HorizonOverride
-		case r.cores[k].Owner >= 0 && r.mem.OutstandingFor(r.cores[k].Owner) > 0:
-			// Outstanding memory work: stride to the earliest cycle any of
-			// its responses can dispatch at the core's port. The deadline is
-			// an absolute backend cycle; clamp to at least G+1 so the
-			// slowest core always makes progress.
-			d := r.mem.ResponseDeadlineFor(r.cores[k].Owner)
-			if d == horizonNever {
-				// Accounting says outstanding but no deadline source knows a
-				// bound — fall back to the provably safe lockstep leg.
-				d = r.G + 1
-			}
-			if r.cfg.MaxStride > 0 && d > r.G+r.cfg.MaxStride {
-				d = r.G + r.cfg.MaxStride
-			}
-			if r.cfg.DeadlinePad > 0 {
-				d += r.cfg.DeadlinePad
-			}
-			if d <= r.G {
-				d = r.G + 1
-			}
-			req.horizon = d
-			req.endReason = rsDeadline
-			if d == r.G+1 {
-				req.endReason = rsQuiesce
-			}
-		default:
-			// No outstanding work: nothing in the memory system can affect
-			// this core before its own next Submit, and the staged-submission
-			// gate ends the stride one cycle after any Submit — so the free
-			// run is bounded only by the limit (and MaxStride if set).
-			req.horizon = r.limit + 1
-			if r.cfg.MaxStride > 0 && req.horizon > r.G+r.cfg.MaxStride {
-				req.horizon = r.G + r.cfg.MaxStride
-			}
-		}
-		// A core may step the cycle at limit but never past it, matching
-		// the sequential limit checks cycle for cycle.
-		if req.horizon > r.limit+1 {
-			req.horizon = r.limit + 1
-		}
-		if r.cfg.StopAt > 0 && req.horizon > r.cfg.StopAt {
-			req.horizon = r.cfg.StopAt
-		}
-		r.horizons[k] = req.horizon
-		r.endReasons[k] = req.endReason
+		r.horizons[k], r.endReasons[k] = r.horizon(k)
 		// A core already parked at (or past) its horizon has nothing to do
-		// this round; skip the dispatch so zero-length strides don't dilute
-		// the stride statistics. Progress is still guaranteed: the slowest
+		// this round; skip it so zero-length strides don't dilute the
+		// stride statistics. Progress is still guaranteed: the slowest
 		// active core sits at G and its horizon is always at least G+1.
-		if req.horizon <= r.cores[k].Core.Cycle() {
-			r.ran[k] = false
-			continue
-		}
-		r.ran[k] = true
+		r.ran[k] = r.horizons[k] > r.cores[k].Core.Cycle()
 	}
 	if active == 0 {
 		return
-	}
-	if r.par && active >= 2 {
-		for k := 1; k < len(r.cores); k++ {
-			if r.ran[k] {
-				r.wg.Add(1)
-				r.work[k] <- strideReq{r.horizons[k], r.endReasons[k]}
-			}
-		}
-		if r.ran[0] {
-			r.stride(0, r.horizons[0], r.endReasons[0])
-		}
-		r.wg.Wait()
-	} else {
-		for k := range r.cores {
-			if r.ran[k] {
-				r.stride(k, r.horizons[k], r.endReasons[k])
-			}
-		}
 	}
 	for k := range r.cores {
 		if !r.ran[k] {
 			continue
 		}
+		r.stride(k, r.horizons[k], r.endReasons[k])
 		cs := &r.stats.Core[k]
 		cs.Strides++
 		cs.StrideCycles += r.sres[k].len
@@ -550,6 +455,55 @@ func (r *lagRunner) strideAll() {
 		}
 	}
 	r.stats.Rounds++
+}
+
+// horizon returns core k's stride horizon for this round and the reason a
+// stride that runs all the way to it ends with: rsHorizon for a free run
+// or override cap, rsDeadline for a computed response deadline, rsQuiesce
+// when that deadline degenerated to one-cycle lockstep.
+func (r *lagRunner) horizon(k int) (int64, int) {
+	var h int64
+	reason := rsHorizon
+	switch owner := r.cores[k].Owner; {
+	case r.cfg.HorizonOverride > 0:
+		h = r.G + r.cfg.HorizonOverride
+	case owner >= 0 && r.mem.OutstandingFor(owner) > 0:
+		// Outstanding memory work: stride to the earliest cycle any of its
+		// responses can dispatch at the core's port. The deadline is an
+		// absolute backend cycle; clamp to at least G+1 so the slowest core
+		// always makes progress.
+		h = r.mem.ResponseDeadlineFor(owner)
+		if h == horizonNever {
+			// Accounting says outstanding but no deadline source knows a
+			// bound — fall back to the provably safe lockstep leg.
+			h = r.G + 1
+		}
+		if r.cfg.DeadlinePad > 0 {
+			h += r.cfg.DeadlinePad
+		}
+		if h <= r.G {
+			h = r.G + 1
+		}
+		reason = rsDeadline
+		if h == r.G+1 {
+			reason = rsQuiesce
+		}
+	default:
+		// No outstanding work: nothing in the memory system can affect this
+		// core before its own next Submit, and the staged-submission gate
+		// ends the stride one cycle after any Submit — so the free run is
+		// bounded only by the limit.
+		h = r.limit + 1
+	}
+	// A core may step the cycle at limit but never past it, matching the
+	// sequential limit checks cycle for cycle.
+	if h > r.limit+1 {
+		h = r.limit + 1
+	}
+	if r.cfg.StopAt > 0 && h > r.cfg.StopAt {
+		h = r.cfg.StopAt
+	}
+	return h, reason
 }
 
 // stride runs one core forward until it finishes, reaches its horizon, or
@@ -576,7 +530,7 @@ func (r *lagRunner) stride(k int, horizon int64, endReason int) {
 			res.reason = rsBackpressure
 			break
 		}
-		if !r.cfg.NoWarp && c.Quiescent() {
+		if c.Quiescent() {
 			wt := horizon
 			// Mirror Run's warp clamps so limit and watchdog errors fire
 			// at exactly the cycles a sequential run reports.
@@ -585,7 +539,7 @@ func (r *lagRunner) stride(k int, horizon int64, endReason int) {
 			}
 			wt = micronet.MinHorizon(wt, c.NextEventCycle())
 			if r.cfg.Watchdog {
-				if wl := r.lastCommit[k] + 200_000; wt > wl {
+				if wl := r.lastCommit[k] + CommitWatchdog; wt > wl {
 					wt = wl
 				}
 			}
@@ -602,8 +556,8 @@ func (r *lagRunner) stride(k int, horizon int64, endReason int) {
 			if c.CommittedBlocks != r.lastCount[k] {
 				r.lastCount[k] = c.CommittedBlocks
 				r.lastCommit[k] = c.Cycle()
-			} else if c.Cycle()-r.lastCommit[k] > 200_000 {
-				r.errs[k] = fmt.Errorf("proc: no commit in 200000 cycles at cycle %d (%d blocks committed): deadlock", c.Cycle(), c.CommittedBlocks)
+			} else if c.Cycle()-r.lastCommit[k] > CommitWatchdog {
+				r.errs[k] = DeadlockError(c.Cycle(), c.CommittedBlocks)
 				break
 			}
 		}
@@ -642,7 +596,7 @@ func (r *lagRunner) catchUp() {
 		if allDone && !r.extraBusy() && r.G >= maxCore {
 			break
 		}
-		if !r.cfg.NoWarp && r.canWarpExtra() && r.mem.Quiet() {
+		if r.canWarpExtra() && r.mem.Quiet() {
 			v := r.catchTarget
 			// With every core finished and no chip-level work left, the run
 			// ends at the last core's cycle — don't warp past it.
@@ -700,102 +654,40 @@ func (r *lagRunner) onEffect(owner int, effect int64) {
 	}
 }
 
-func (r *lagRunner) startWorkers() {
-	r.work = make([]chan strideReq, len(r.cores))
-	for k := 1; k < len(r.cores); k++ {
-		ch := make(chan strideReq)
-		r.work[k] = ch
-		go func(k int, ch chan strideReq) {
-			for req := range ch {
-				r.stride(k, req.horizon, req.endReason)
-				r.wg.Done()
-			}
-		}(k, ch)
-	}
-}
-
-func (r *lagRunner) stopWorkers() {
-	for _, ch := range r.work {
-		if ch != nil {
-			close(ch)
-		}
-	}
-}
-
-// RunLag is the single-core convenience wrapper: it executes the core to
-// completion against a bounded-lag backend with Run's limit and watchdog
-// semantics, returning the same Result and the same error strings.
-// maxStride (0 = auto) caps stride length below the visibility horizon.
-func (c *Core) RunLag(mem LagMem, maxStride int64, stats *LagStats) (Result, error) {
+// RunLag executes the core to completion against a bounded-lag backend
+// with Run's limit and watchdog semantics, returning the same Result and
+// the same error strings. It honours a hook armed with SetCheckpointHook:
+// the coordinator parks core and backend clocks together at the arm cycle,
+// the pair then steps sequentially to the first block commit — the
+// protocol quiesce point SaveState requires — the hook fires there, and
+// bounded-lag stepping resumes. The hook may re-arm itself from inside the
+// callback (the convention Run follows), which is how rolling-checkpoint
+// consumers like the flight recorder capture a whole sequence of frames
+// from one run. The composition is observable-identical to an
+// uninterrupted run: strides replay the sequential interleave exactly, and
+// the lockstep stretch is the sequential interleave (only the host-side
+// Warps/WarpedCycles telemetry differs).
+func (c *Core) RunLag(mem LagMem, stats *LagStats) (Result, error) {
 	limit := c.cfg.MaxCycles
 	if limit == 0 {
-		limit = 200_000_000
+		limit = DefaultMaxCycles
 	}
 	cfg := LagConfig{
 		Limit:           limit,
 		Watchdog:        true,
-		NoWarp:          c.cfg.NoFastPath || c.cfg.NoWarp,
-		MaxStride:       maxStride,
 		Stats:           stats,
 		OnRollback:      c.onRollback,
 		HorizonOverride: c.lagHorizonOverride,
 		DeadlinePad:     c.lagDeadlinePad,
 		LimitErr: func(l int64) error {
-			return fmt.Errorf("proc: cycle limit %d exceeded (%d blocks committed)", l, c.CommittedBlocks)
+			return limitError(l, c.CommittedBlocks)
 		},
-	}
-	if _, err := RunBoundedLag(mem, []LagCore{{Core: c, Owner: 0}}, cfg); err != nil {
-		return Result{}, err
-	}
-	return c.buildResult()
-}
-
-// RunLagWithCheckpoint runs like RunLag but captures a checkpoint mid-run:
-// the bounded-lag engine pauses at cycle `at` (core and backend clocks
-// lockstepped), the pair then steps sequentially until the first block
-// commit — the protocol quiesce point SaveState requires — fn fires at that
-// boundary, and bounded-lag stepping resumes. fn may re-arm the hook for a
-// later cycle by calling SetCheckpointHook from inside the callback (the
-// same convention Run follows), which is how rolling-checkpoint consumers
-// like the flight recorder capture a whole sequence of frames from one
-// run. The composition is observable-identical to an uninterrupted RunLag:
-// strides replay the sequential interleave exactly, and the lockstep
-// stretch IS the sequential interleave (only the host-side
-// Warps/WarpedCycles telemetry differs).
-func (c *Core) RunLagWithCheckpoint(mem LagMem, maxStride int64, stats *LagStats, at int64, fn func(cycle int64) error) (Result, error) {
-	c.SetCheckpointHook(at, fn)
-	return c.RunLagCheckpointed(mem, maxStride, stats)
-}
-
-// RunLagCheckpointed drives the park → lockstep-to-commit → capture loop
-// until no checkpoint hook is armed (the hook re-arms itself for rolling
-// captures), then runs bounded-lag to completion. Callers arm the hook via
-// SetCheckpointHook first; with no hook armed it is plain RunLag.
-func (c *Core) RunLagCheckpointed(mem LagMem, maxStride int64, stats *LagStats) (Result, error) {
-	limit := c.cfg.MaxCycles
-	if limit == 0 {
-		limit = 200_000_000
-	}
-	mkCfg := func(stopAt int64) LagConfig {
-		return LagConfig{
-			Limit:           limit,
-			Watchdog:        true,
-			NoWarp:          c.cfg.NoFastPath || c.cfg.NoWarp,
-			MaxStride:       maxStride,
-			StopAt:          stopAt,
-			Stats:           stats,
-			OnRollback:      c.onRollback,
-			HorizonOverride: c.lagHorizonOverride,
-			DeadlinePad:     c.lagDeadlinePad,
-			LimitErr: func(l int64) error {
-				return fmt.Errorf("proc: cycle limit %d exceeded (%d blocks committed)", l, c.CommittedBlocks)
-			},
-		}
 	}
 	cores := []LagCore{{Core: c, Owner: 0}}
 	for c.ckptFn != nil {
 		at := c.ckptAt
-		if _, err := RunBoundedLag(mem, cores, mkCfg(at)); err != nil {
+		cfg.StopAt = at
+		if _, err := RunBoundedLag(mem, cores, cfg); err != nil {
 			return Result{}, err
 		}
 		// Sequential lockstep to the first commit boundary. A finished core
@@ -805,7 +697,7 @@ func (c *Core) RunLagCheckpointed(mem LagMem, maxStride int64, stats *LagStats) 
 		for !c.Done() && c.CommittedBlocks == last {
 			c.Step()
 			mem.Tick()
-			if guard++; guard > 400_000 {
+			if guard++; guard > 2*CommitWatchdog {
 				return Result{}, fmt.Errorf("proc: no block commit within %d lockstep cycles after checkpoint arm cycle %d", guard-1, at)
 			}
 		}
@@ -821,7 +713,8 @@ func (c *Core) RunLagCheckpointed(mem LagMem, maxStride int64, stats *LagStats) 
 			break
 		}
 	}
-	if _, err := RunBoundedLag(mem, cores, mkCfg(0)); err != nil {
+	cfg.StopAt = 0
+	if _, err := RunBoundedLag(mem, cores, cfg); err != nil {
 		return Result{}, err
 	}
 	return c.buildResult()
