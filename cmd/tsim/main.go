@@ -346,7 +346,8 @@ func main() {
 }
 
 // runSampled runs the SimPoint-style sampled mode: one profiling pass that
-// drops checkpoints at commit boundaries, then parallel interval replays.
+// drops checkpoints at commit boundaries while a worker pool replays each
+// interval as soon as its checkpoint is written.
 func runSampled(w workloads.Workload, spec *workloads.Spec, opt eval.TRIPSOptions, warmup, interval int64, n int, mode string) {
 	t0 := time.Now()
 	sr, err := eval.RunSampled(spec, opt, warmup, interval, n, 0)
@@ -368,5 +369,5 @@ func runSampled(w workloads.Workload, spec *workloads.Spec, opt eval.TRIPSOption
 			fmt.Printf("  %8d %10d %10d %10d %8.3f\n", s.Index, s.StartCycle, s.EndCycle, s.Insts, s.IPC)
 		}
 	}
-	fmt.Printf("  host: %.1f ms wall (profiling pass + parallel replays)\n", float64(wall.Nanoseconds())/1e6)
+	fmt.Printf("  host: %.1f ms wall (profiling pass with streamed replays)\n", float64(wall.Nanoseconds())/1e6)
 }

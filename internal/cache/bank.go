@@ -36,9 +36,13 @@ func NewBank(sizeBytes, ways, lineBytes int) *Bank {
 		panic(fmt.Sprintf("cache: bad geometry %dB/%dway/%dB-line", sizeBytes, ways, lineBytes))
 	}
 	b := &Bank{SizeBytes: sizeBytes, Ways: ways, LineBytes: lineBytes, numSets: numSets}
+	// One slab holds every set: a 64 KB L2 bank has 256 sets, and a slice
+	// per set made bank construction most of a NUCA machine build's
+	// allocations. The full slice expression caps each set at its own ways.
+	slab := make([]line, numSets*ways)
 	b.sets = make([][]line, numSets)
 	for i := range b.sets {
-		b.sets[i] = make([]line, ways)
+		b.sets[i] = slab[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	return b
 }

@@ -23,6 +23,20 @@ func TestBankGeometry(t *testing.T) {
 	}
 }
 
+func TestBankSetsShareOneSlab(t *testing.T) {
+	// Bank, set headers and one line slab: construction cost must not grow
+	// with the set count.
+	if n := testing.AllocsPerRun(10, func() { NewBank(64<<10, 4, 64) }); n != 3 {
+		t.Errorf("NewBank(64 KB, 4-way) made %v allocations, want 3", n)
+	}
+	b := NewBank(8<<10, 2, 64)
+	for i, set := range b.sets {
+		if len(set) != 2 || cap(set) != 2 {
+			t.Fatalf("set %d: len %d cap %d, want 2/2 (a set must not reach into its neighbour)", i, len(set), cap(set))
+		}
+	}
+}
+
 func TestBankFillReadWrite(t *testing.T) {
 	b := NewBank(8<<10, 2, 64)
 	lineData := make([]byte, 64)

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Version is the current checkpoint format version. Bump it whenever the
@@ -142,6 +143,10 @@ type Writer struct {
 	buf []byte
 }
 
+// NewWriter starts an empty payload in buf's storage, discarding buf's
+// contents, so a caller can recycle the buffer of a frame it is done with.
+func NewWriter(buf []byte) *Writer { return &Writer{buf: buf[:0]} }
+
 // Payload returns the accumulated payload.
 func (w *Writer) Payload() []byte { return w.buf }
 
@@ -149,6 +154,12 @@ func (w *Writer) Payload() []byte { return w.buf }
 // for reuse. The flight recorder's rolling ring recycles slot buffers this
 // way so steady-state captures stop allocating once the ring warms up.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
+// Grow guarantees room for another n bytes without reallocating. Callers
+// that save similar frames back to back (RunSampled's profiling pass) size
+// the next frame from the previous one, so a save does not regrow its
+// buffer from empty.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }

@@ -103,6 +103,34 @@ func TestTrailingBytes(t *testing.T) {
 	}
 }
 
+func TestWriterGrowAndRecycle(t *testing.T) {
+	var w Writer
+	w.U32(7)
+	w.Grow(1000)
+	if w.Len() != 4 || cap(w.Payload()) < 1004 {
+		t.Fatalf("after Grow: len %d cap %d, want len 4 cap >= 1004", w.Len(), cap(w.Payload()))
+	}
+	before := &w.Payload()[:1][0]
+	for i := 0; i < 250; i++ {
+		w.U32(uint32(i))
+	}
+	if &w.Payload()[0] != before {
+		t.Fatal("writes within the grown capacity reallocated the buffer")
+	}
+	r := NewReader(w.Payload())
+	if v := r.U32(); v != 7 {
+		t.Fatalf("first word %d after Grow, want 7", v)
+	}
+
+	// NewWriter starts empty in a recycled buffer's storage.
+	old := w.Payload()
+	nw := NewWriter(old)
+	nw.U8(9)
+	if nw.Len() != 1 || &nw.Payload()[0] != &old[0] || old[0] != 9 {
+		t.Fatalf("NewWriter on a %d-byte buffer: len %d, storage reused %v", len(old), nw.Len(), &nw.Payload()[0] == &old[0])
+	}
+}
+
 func TestFileRoundTrip(t *testing.T) {
 	payload := []byte("some machine state")
 	h := HashContent([]byte("program"), []byte("config"))

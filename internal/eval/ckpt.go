@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"trips/internal/ckpt"
 	"trips/internal/mem"
@@ -16,7 +17,8 @@ import (
 
 // trips is one built TRIPS machine: the compiled program imaged into memory,
 // the core, and whichever memory backend the options selected. RunTRIPS runs
-// one to completion; RunSampled builds one per restored interval.
+// one to completion; each RunSampled worker restores interval after
+// interval into one.
 type trips struct {
 	name string
 	prog *proc.Program
@@ -29,12 +31,17 @@ type trips struct {
 	lag  bool
 }
 
+// machineBuilds counts buildTRIPS calls, so tests can pin how many machines
+// a sampled run builds.
+var machineBuilds atomic.Int64
+
 // buildTRIPS compiles spec and assembles the machine RunTRIPS would run. A
 // NUCA machine runs under the bounded-lag coordinator unless opt.NoFastPath
 // or seq selects the sequential interleave, in which the core steps its
 // memory system itself; RunSampled and ReplayBundle set seq because they
 // drive restored machines cycle by cycle.
 func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions, seq bool) (*trips, error) {
+	machineBuilds.Add(1)
 	prog, meta, err := tcc.Compile(spec.F, tcc.Options{Mode: opt.Mode, Placement: opt.Placement})
 	if err != nil {
 		return nil, fmt.Errorf("eval: compile %s: %w", spec.F.Name, err)
@@ -121,9 +128,10 @@ func (t *trips) save(w *ckpt.Writer) error {
 	return nil
 }
 
-// load restores a checkpoint payload into a freshly built machine. The core
-// restores first: origin resolution for in-flight memory transactions reads
-// restored tile state.
+// load restores a checkpoint payload into a machine built with the same
+// spec and options, fresh or one that has already run: every piece of
+// simulated state is overwritten. The core restores first: origin
+// resolution for in-flight memory transactions reads restored tile state.
 func (t *trips) load(payload []byte) error {
 	pr := ckpt.NewReader(payload)
 	if err := t.core.LoadState(pr); err != nil {
@@ -198,15 +206,24 @@ type SampledResult struct {
 	Warmup    int64
 	Interval  int64
 	Samples   []SampleInterval
-	CkptBytes int64 // total checkpoint payload bytes held in memory
+	CkptBytes int64 // total checkpoint payload bytes captured
 }
 
 // RunSampled runs spec once end-to-end, capturing in-memory checkpoints at
 // block-commit boundaries — the first after `warmup` cycles, then every
-// `interval` cycles, up to maxSamples — and then fans the intervals across a
-// worker pool SimPoint-style: each worker restores its checkpoint into a
-// fresh machine and re-simulates exactly one interval, yielding per-interval
-// IPC without a second serial pass. workers <= 0 means GOMAXPROCS.
+// `interval` cycles, up to maxSamples — and replays each interval
+// SimPoint-style on a worker pool, yielding per-interval IPC without a
+// second serial pass. workers <= 0 means GOMAXPROCS.
+//
+// The intervals stream: the workers start before the profiling pass, and
+// each capture is queued as soon as it is written, so intervals replay
+// while the reference run is still going. Each worker builds one machine
+// and restores every frame it takes into that same machine (the LoadState
+// contract: a restore overwrites all simulated state of any machine built
+// with an identical config, whatever it has run). A worker whose restore
+// or interval fails discards its machine and builds a fresh one for its
+// next frame. Samples are indexed by capture order, so they do not depend
+// on scheduling; the error reported is the lowest-index interval's.
 //
 // The machines run on the sequential core/memory interleave: every
 // stepper is bit-identical by construction, and the sequential one lets a
@@ -241,26 +258,44 @@ func RunSampled(spec *workloads.Spec, opt TRIPSOptions, warmup, interval int64, 
 	if err != nil {
 		return nil, err
 	}
-	type ck struct {
-		cycle   int64
-		payload []byte
+
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	var cks []ck
+	workers = min(workers, maxSamples)
+	// The queue has room for every frame the pass captures, so the pass
+	// never waits for a worker (past maxQueuedFrames queued frames it
+	// would).
+	queue := make(chan sampleFrame, min(maxSamples, maxQueuedFrames))
+	// Workers hand back the buffers of frames they are done with, and
+	// the next captures are written into them. One slot per worker: the
+	// pass takes a buffer at every capture, and a worker with nowhere to
+	// put one leaves it to the collector.
+	spare := make(chan []byte, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sampleWorker(spec, intervalOpt, interval, queue, spare)
+		}()
+	}
+	// Every return below, and a panic in the pass, closes the queue and
+	// waits for the workers: none outlives RunSampled.
+	stop := sync.OnceFunc(func() {
+		close(queue)
+		wg.Wait()
+	})
+	defer stop()
+
+	var results []*sampleResult
 	var totalBytes int64
-	var capture func(cycle int64) error
-	capture = func(cycle int64) error {
-		pw := &ckpt.Writer{}
-		if err := ref.save(pw); err != nil {
-			return err
-		}
-		cks = append(cks, ck{cycle: cycle, payload: pw.Payload()})
-		totalBytes += int64(pw.Len())
-		if len(cks) < maxSamples {
-			ref.core.SetCheckpointHook(cycle+interval, capture)
-		}
-		return nil
-	}
-	ref.core.SetCheckpointHook(warmup, capture)
+	ref.armSampling(warmup, interval, maxSamples, spare, func(payload []byte) {
+		r := &sampleResult{}
+		results = append(results, r)
+		totalBytes += int64(len(payload))
+		queue <- sampleFrame{payload: payload, out: r}
+	})
 	res, err := ref.core.Run()
 	if err != nil {
 		return nil, fmt.Errorf("eval: sampled %s: %w", spec.F.Name, err)
@@ -269,52 +304,103 @@ func RunSampled(spec *workloads.Spec, opt TRIPSOptions, warmup, interval int64, 
 	if err != nil {
 		return nil, err
 	}
+	stop()
 
 	out := &SampledResult{Full: full, Warmup: warmup, Interval: interval, CkptBytes: totalBytes}
-	if len(cks) == 0 {
+	if len(results) == 0 {
 		return out, nil
 	}
-	samples := make([]SampleInterval, len(cks))
-	errs := make([]error, len(cks))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cks) {
-		workers = len(cks)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				samples[i], errs[i] = runInterval(spec, intervalOpt, cks[i].payload, interval)
-				samples[i].Index = i
-			}
-		}()
-	}
-	for i := range cks {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("eval: sampled %s: %w", spec.F.Name, err)
+	out.Samples = make([]SampleInterval, len(results))
+	for i, r := range results {
+		if r.err != nil {
+			return nil, fmt.Errorf("eval: sampled %s: interval %d: %w", spec.F.Name, i, r.err)
 		}
+		out.Samples[i] = r.s
+		out.Samples[i].Index = i
 	}
-	out.Samples = samples
 	return out, nil
 }
 
-// runInterval restores one checkpoint into a fresh machine and steps it for
-// one interval (or until the program retires).
-func runInterval(spec *workloads.Spec, opt TRIPSOptions, payload []byte, interval int64) (SampleInterval, error) {
-	t, err := buildTRIPS(spec, opt, true)
-	if err != nil {
-		return SampleInterval{}, err
+// maxQueuedFrames caps RunSampled's frame queue, so a maxSamples far past
+// any program's length does not allocate a channel that large.
+const maxQueuedFrames = 1024
+
+// sampleFrame is one captured checkpoint on its way to a sampling worker,
+// with the slot its interval's outcome goes to.
+type sampleFrame struct {
+	payload []byte
+	out     *sampleResult
+}
+
+// sampleResult is one interval's outcome. The worker that takes the frame
+// writes s and err; RunSampled reads them after the workers have exited.
+type sampleResult struct {
+	s   SampleInterval
+	err error
+}
+
+// armSampling arms the machine's checkpoint hook to save a frame at the
+// first block-commit boundary past warmup, then every interval cycles, up
+// to maxSamples frames, and hands each frame to emit as soon as it is
+// written. A save reuses a buffer from spare when one is waiting (a nil
+// spare never has one). Each save is sized from the previous frame's
+// length: frames grow slowly as a run goes on, and an eighth of slack
+// keeps the next one inside its first buffer.
+func (t *trips) armSampling(warmup, interval int64, maxSamples int, spare <-chan []byte, emit func(payload []byte)) {
+	var n, last int
+	var capture func(cycle int64) error
+	capture = func(cycle int64) error {
+		var buf []byte
+		select {
+		case buf = <-spare:
+		default:
+		}
+		pw := ckpt.NewWriter(buf)
+		pw.Grow(last + last/8)
+		if err := t.save(pw); err != nil {
+			return err
+		}
+		last = pw.Len()
+		n++
+		emit(pw.Payload())
+		if n < maxSamples {
+			t.core.SetCheckpointHook(cycle+interval, capture)
+		}
+		return nil
 	}
+	t.core.SetCheckpointHook(warmup, capture)
+}
+
+// sampleWorker replays every frame it takes from queue on one machine. The
+// machine is built on the first frame and recycled for the rest; a failed
+// restore or interval leaves it in an unknown state, so it is dropped and
+// the next frame gets a fresh one. Each payload is released as soon as its
+// interval is done: its buffer goes to spare when there is room (a restore
+// copies everything it keeps out of the payload), else to the collector.
+func sampleWorker(spec *workloads.Spec, opt TRIPSOptions, interval int64, queue <-chan sampleFrame, spare chan<- []byte) {
+	var t *trips
+	for f := range queue {
+		var err error
+		if t == nil {
+			t, err = buildTRIPS(spec, opt, true)
+		}
+		if err == nil {
+			f.out.s, err = t.runInterval(f.payload, interval)
+		}
+		if err != nil {
+			f.out.err = err
+			t = nil
+		}
+		select {
+		case spare <- f.payload:
+		default:
+		}
+	}
+}
+
+// runInterval restores one checkpoint into the machine and steps it for one
+// interval (or until the program retires).
+func (t *trips) runInterval(payload []byte, interval int64) (SampleInterval, error) {
 	if err := t.load(payload); err != nil {
 		return SampleInterval{}, err
 	}

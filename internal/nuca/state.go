@@ -261,8 +261,9 @@ func (s *System) SaveState(w *ckpt.Writer) {
 }
 
 // LoadState restores a checkpoint into a system built with an identical
-// Config, after the client cores have been restored (origin resolution
-// reads their tile state). res maps a port name to the resolver that
+// Config — fresh, or one that has already run: every bank, queue, table
+// and counter is overwritten — after the client cores have been restored
+// (origin resolution reads their tile state). res maps a port name to the resolver that
 // rebuilds Done callbacks for requests submitted on that port — the port is
 // the only record of which client a request belongs to.
 //

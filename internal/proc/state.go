@@ -14,11 +14,20 @@ import (
 
 // Checkpoint support. SaveState serializes every piece of mutable simulated
 // state — tiles, micronets, the event wheel, in-flight messages — into a
-// ckpt.Writer at a cycle boundary; LoadState restores it into a core freshly
-// constructed with an identical Config. Critical-path events are host-side
+// ckpt.Writer at a cycle boundary; LoadState restores it into any core
+// constructed with an identical Config, whether freshly built or one that
+// has already run (eval.RunSampled restores interval after interval into
+// one machine per worker). LoadState must therefore overwrite every field
+// that shapes simulated behavior, not only those a fresh core leaves
+// nonzero: restoring frame i into a core that ran elsewhere and saving
+// again yields frame i byte for byte, and the run that follows equals the
+// fresh-core run (eval.TestRestoreIntoDirtyMachine,
+// eval.TestRecycledIntervalsMatchFreshRestore). Host-side telemetry
+// (TileTicks, TileSkips, SteppedCycles) is not simulated state and keeps
+// counting across restores. Critical-path events are host-side
 // observability outside the frame format: SaveState refuses when
-// TrackCritPath is enabled. Pools (opnMsg, dtFetch) restore
-// empty — pooling is invisible to simulated state.
+// TrackCritPath is enabled. Pools (opnMsg, dtFetch) are not restored —
+// pooling is invisible to simulated state.
 
 // ---------------------------------------------------------------------------
 // Value / isa codecs
@@ -1231,9 +1240,9 @@ func (c *Core) SaveState(w *ckpt.Writer) error {
 }
 
 // LoadState restores a checkpoint into a core built with an identical
-// Config, overwriting all mutable state. The memory backend is restored
-// separately by the caller (after this returns, so origin resolution sees
-// the restored tile state).
+// Config, fresh or already run, overwriting all mutable simulated state.
+// The memory backend is restored separately by the caller (after this
+// returns, so origin resolution sees the restored tile state).
 func (c *Core) LoadState(r *ckpt.Reader) error {
 	if c.cfg.TrackCritPath {
 		return fmt.Errorf("proc: cannot restore with critical-path tracking enabled")
@@ -1326,8 +1335,10 @@ func (f *FixedLatencyMem) SaveState(w *ckpt.Writer) {
 	}
 }
 
-// LoadState restores the backend; res rebuilds each queued request's Done
-// callback, so the owning core must be restored first.
+// LoadState restores the backend into one built with an identical Config,
+// fresh or already run, replacing the whole memory image and every port
+// queue; res rebuilds each queued request's Done callback, so the owning
+// core must be restored first.
 func (f *FixedLatencyMem) LoadState(r *ckpt.Reader, res OriginResolver) {
 	r.Section("flm")
 	f.Mem.LoadState(r)
